@@ -17,7 +17,7 @@ import numpy as np
 from .chain import CouplingProfile, mirror_certificate, require_valid_profile
 from .dynamics import StateVector, evolve, fidelity_up_to_global_phase, mirror_map
 from .errors import InsufficientDataError, InvalidCertificateError
-from .gates import FreeEvolve, GateProgram, Local, Swap
+from .gates import GateProgram
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,8 @@ class CostReport:
 
 def cost_of_program(program: GateProgram, tau: float) -> CostReport:
     """Exact instruction census; core time is tau per free evolution."""
-    free = sum(isinstance(i, FreeEvolve) for i in program.instructions)
-    swaps = sum(isinstance(i, Swap) for i in program.instructions)
-    locals_ = sum(isinstance(i, Local) for i in program.instructions)
-    return CostReport(free, swaps, locals_, core_time=tau * free)
+    free = program.free_evolution_count
+    return CostReport(free, program.swap_count, program.local_count, core_time=tau * free)
 
 
 @dataclass(frozen=True)

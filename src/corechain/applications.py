@@ -188,7 +188,7 @@ def direct_pauli_program(mask: PauliString, dt: float, tau: float = math.pi) -> 
     return GateProgram(
         instructions,
         layout,
-        final_locations=tuple((s, layout.core_position(s)) for s in range(1, layout.core_sites + 1)),
+        final_locations=layout.identity_locations(),
         note=f"exp(-i {mask.to_string()} dt), direct parity at the chain ends",
     )
 
@@ -236,7 +236,7 @@ def trotter_program(plan: TrotterPlan, tau: float = math.pi) -> GateProgram:
     return GateProgram(
         instructions,
         layout,
-        final_locations=tuple((s, layout.core_position(s)) for s in range(1, layout.core_sites + 1)),
+        final_locations=layout.identity_locations(),
         note=f"{plan.steps} first-order steps of dt={plan.dt}",
     )
 
@@ -289,6 +289,6 @@ def qft_program(
     return GateProgram(
         tuple(instructions),
         layout,
-        final_locations=tuple((s, layout.core_position(s)) for s in range(1, n + 1)),
+        final_locations=layout.identity_locations(),
         note="QFT" + (" with bit-reversal finisher" if include_bit_reversal else ", output bit-reversed"),
     )

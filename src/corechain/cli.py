@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, applications, chain, dynamics, gates, serialize
+from .errors import InvalidCertificateError
 
 SCHEMA = "1"
 
@@ -50,6 +51,14 @@ def _with_schema(payload: dict) -> dict:
     return {"schema": SCHEMA, **payload}
 
 
+def _emit_json(out, payload: dict) -> None:
+    """Write the schema-marked payload to `out`, or print it when no file is given."""
+    if out:
+        serialize.write_json(out, _with_schema(payload))
+    else:
+        print(serialize.dumps(_with_schema(payload)))
+
+
 def _align_phase(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
     flat = np.argmax(np.abs(target))
     pivot = actual.reshape(-1)[flat]
@@ -61,15 +70,8 @@ def _align_phase(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _restricted_unitary(full: np.ndarray, layout: dynamics.Layout, data_positions):
     """Block of `full` on the data positions, all other qubits held in |0>."""
-    total = layout.total_qubits
-    k = len(data_positions)
-    indices = []
-    for assignment in range(1 << k):
-        index = 0
-        for b, position in enumerate(data_positions):
-            bit = (assignment >> (k - 1 - b)) & 1
-            index |= bit << (total - 1 - position)
-        indices.append(index)
+    weights = 1 << (layout.total_qubits - 1 - np.asarray(data_positions))
+    indices = dynamics._core_bits(len(data_positions)) @ weights
     return full[np.ix_(indices, indices)]
 
 
@@ -87,11 +89,7 @@ def _cmd_design(args) -> int:
         spectrum = serialize.spectrum_from_dict(_load_json(args.spectrum))
         profile = chain.reconstruct_profile(spectrum)
     certificate = chain.mirror_certificate(profile, args.tau)
-    payload = _with_schema(serialize.profile_to_dict(profile))
-    if args.out:
-        serialize.write_json(args.out, payload)
-    else:
-        print(serialize.dumps(payload))
+    _emit_json(args.out, serialize.profile_to_dict(profile))
     print(_certificate_line(certificate))
     return 0
 
@@ -116,20 +114,15 @@ def _cmd_evolve(args) -> int:
         layout = dynamics.Layout(profile.n_sites)
         state = dynamics.StateVector.basis(layout, args.basis)
     result = dynamics.evolve(profile, state, args.t)
-    payload = _with_schema(serialize.state_to_dict(result))
-    if args.out:
-        serialize.write_json(args.out, payload)
-    else:
-        print(serialize.dumps(payload))
+    _emit_json(args.out, serialize.state_to_dict(result))
     return 0
 
 
 def _print_amplitudes(state: dynamics.StateVector) -> None:
     total = state.layout.total_qubits
-    for index, amp in enumerate(state.amplitudes):
-        if abs(amp) > 1e-12:
-            bits = format(index, f"0{total}b")
-            print(f"|{bits}>  {amp.real:+.12f}{amp.imag:+.12f}j")
+    for index in np.nonzero(np.abs(state.amplitudes) > 1e-12)[0]:
+        amp = state.amplitudes[index]
+        print(f"|{index:0{total}b}>  {amp.real:+.12f}{amp.imag:+.12f}j")
 
 
 def _cmd_gate(args) -> int:
@@ -137,13 +130,23 @@ def _cmd_gate(args) -> int:
     n = profile.n_sites
     layout = dynamics.Layout(n, ancilla_count=1)
     tau = args.tau
+    simulate = args.run or args.kind == "cat"
+    if simulate or args.kind == "w":
+        certificate = chain.mirror_certificate(profile, tau)
+        if simulate and not certificate.is_valid:
+            raise InvalidCertificateError(
+                f"gate simulates only certified chains; none at tau={tau:.12g} "
+                f"(max_deviation={certificate.max_deviation:.3e})"
+            )
     if args.kind == "cat":
-        program, final = gates.cat_state_program(n, tau)
+        # theta = phi = 0 reflections are X on every site after the control
+        reflections = {site: (0.0, 0.0) for site in range(2, n + 1)}
+        program = gates.controlled_reflection_program(1, reflections, layout, tau, certificate.phi_n)
+        plus = dynamics.apply_local(dynamics.StateVector.zero(layout), 0, gates.HADAMARD)
+        final = gates.execute(program, profile, plus)
         ideal = np.zeros(layout.dim, dtype=np.complex128)
-        ideal[0] = 1 / math.sqrt(2)
-        cat_bits = [0] + [1] * (n - 1) + [1]  # site 1 emptied, control on the ancilla
-        index = int("".join(str(b) for b in cat_bits), 2)
-        ideal[index] = 1 / math.sqrt(2)
+        # |00...0>|0> + |01...1>|1>: site 1 emptied, the control's half on the ancilla
+        ideal[[0, (1 << n) - 1]] = 1 / math.sqrt(2)
         fidelity = dynamics.fidelity_up_to_global_phase(
             dynamics.StateVector(layout, ideal), final
         )
@@ -151,7 +154,6 @@ def _cmd_gate(args) -> int:
     elif args.kind == "z":
         program = gates.controlled_z_program(args.x, layout, tau)
     else:  # kind == "w": one phase gate on every non-control site
-        certificate = chain.mirror_certificate(profile, tau)
         targets = {
             site: gates.phase_gate(args.phase) for site in range(1, n + 1) if site != args.x
         }
@@ -173,15 +175,6 @@ def _dft_matrix(n_qubits: int) -> np.ndarray:
     return np.exp(2j * math.pi * jk / dim) / math.sqrt(dim)
 
 
-def _bit_reversal_permutation(n_qubits: int) -> np.ndarray:
-    dim = 1 << n_qubits
-    perm = np.zeros((dim, dim))
-    for k in range(dim):
-        reversed_k = int(format(k, f"0{n_qubits}b")[::-1], 2)
-        perm[reversed_k, k] = 1.0
-    return perm
-
-
 def _cmd_qft(args) -> int:
     program = applications.qft_program(args.n, include_bit_reversal=args.bit_reversal)
     if args.out:
@@ -197,7 +190,7 @@ def _cmd_qft(args) -> int:
     data_positions = [program.layout.core_position(s) for s in range(1, args.n + 1)]
     block = _restricted_unitary(full, program.layout, data_positions)
     if not args.bit_reversal:
-        block = _bit_reversal_permutation(args.n) @ block
+        block = block[dynamics._site_reversal(args.n)]
     deviation = float(np.max(np.abs(_align_phase(block, _dft_matrix(args.n)) - _dft_matrix(args.n))))
     print(f"max |Δ| vs DFT: {deviation:.3e}")
     return 0 if deviation <= 1e-8 else 1
@@ -236,11 +229,7 @@ def _cmd_cost(args) -> int:
     if args.program is not None:
         program = serialize.program_from_dict(_load_json(args.program))
         report = analysis.cost_of_program(program, args.tau)
-        payload = _with_schema(serialize.cost_report_to_dict(report))
-        if args.out:
-            serialize.write_json(args.out, payload)
-        else:
-            print(serialize.dumps(payload))
+        _emit_json(args.out, serialize.cost_report_to_dict(report))
         return 0
     if args.concat:
         rows = []
@@ -248,45 +237,37 @@ def _cmd_cost(args) -> int:
             cc = analysis.steane_concat_cost(level)
             rows.append([cc.levels, cc.targets_per_gate, cc.controlled_gate_count, cc.switched_elementary_ops])
         header = ["levels", "targets_per_gate", "controlled_gate_count", "switched_elementary_ops"]
-        if args.out:
-            serialize.write_csv(args.out, header, rows)
-        else:
-            print(",".join(header))
-            for row in rows:
-                print(",".join(str(v) for v in row))
-        return 0
-    lo, hi = args.n_range
-    header = [
-        "n",
-        "core_free_evolutions",
-        "core_swaps",
-        "core_local_ops",
-        "core_switch_events",
-        "switched_switch_events",
-        "core_time",
-        "switched_time",
-    ]
-    rows = []
-    for n in range(lo, hi + 1):
-        report = analysis.switched_qft_cost(n)
-        rows.append(
-            [
-                n,
-                report.free_evolutions,
-                report.swaps,
-                report.local_ops,
-                report.core_switch_events,
-                report.switch_events,
-                report.core_time,
-                report.switched_time,
-            ]
-        )
+    else:
+        lo, hi = args.n_range
+        header = [
+            "n",
+            "core_free_evolutions",
+            "core_swaps",
+            "core_local_ops",
+            "core_switch_events",
+            "switched_switch_events",
+            "core_time",
+            "switched_time",
+        ]
+        rows = []
+        for n in range(lo, hi + 1):
+            report = analysis.switched_qft_cost(n)
+            rows.append(
+                [
+                    n,
+                    report.free_evolutions,
+                    report.swaps,
+                    report.local_ops,
+                    report.core_switch_events,
+                    report.switch_events,
+                    report.core_time,
+                    report.switched_time,
+                ]
+            )
     if args.out:
         serialize.write_csv(args.out, header, rows)
     else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(serialize.format_float(v) if isinstance(v, float) else str(v) for v in row))
+        print("\n".join(serialize.csv_lines(header, rows)))
     return 0
 
 
@@ -409,10 +390,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.handler(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,6 +76,10 @@ class Layout:
     def mirror_site(self, site: int) -> int:
         return self.core_sites - site + 1
 
+    def identity_locations(self) -> tuple[tuple[int, int], ...]:
+        """(site, position) of every chain site at its own core position."""
+        return tuple((site, self.core_position(site)) for site in range(1, self.core_sites + 1))
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -89,7 +93,7 @@ class StateVector:
         if amps.shape != (self.layout.dim,):
             raise ValueError(f"expected {self.layout.dim} amplitudes, got shape {amps.shape}")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
             raise ValueError(f"state is not normalized (|norm - 1| = {abs(norm - 1.0):.3g})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -130,13 +134,28 @@ def random_state(layout: Layout, seed=None, core_weight: int | None = None) -> S
 # cached structure of the core Hamiltonian
 
 
+def _core_bits(n_sites: int) -> np.ndarray:
+    """Row s holds the bits of core index s, site 1 first.
+
+    Not cached: kept resident beside the propagator blocks, these tables
+    fragmented the heap and raised peak RSS by one or two 13 MB blocks.
+    """
+    return (np.arange(1 << n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
+
+
 @lru_cache(maxsize=32)
 def _core_weights(n_sites: int) -> np.ndarray:
-    weights = np.zeros(1 << n_sites, dtype=np.int64)
-    for s in range(1 << n_sites):
-        weights[s] = bin(s).count("1")
+    weights = _core_bits(n_sites).sum(axis=1)
     weights.flags.writeable = False
     return weights
+
+
+@lru_cache(maxsize=32)
+def _site_reversal(n_sites: int) -> np.ndarray:
+    """Core index of the site-reversed image of each core index."""
+    reversal = _core_bits(n_sites) @ (1 << np.arange(n_sites))
+    reversal.flags.writeable = False
+    return reversal
 
 
 @lru_cache(maxsize=32)
@@ -156,22 +175,17 @@ def _block_eigensystems(profile: CouplingProfile):
     """Per-weight-block (indices, eigenvalues, eigenvectors) of the core H."""
     require_valid_profile(profile)
     n = profile.n_sites
-    lambdas = np.asarray(profile.lambdas)
+    table = _core_bits(n)
     systems = []
     for idx in _weight_blocks(n):
-        size = idx.size
-        position = {int(s): k for k, s in enumerate(idx)}
-        h = np.zeros((size, size))
-        for k, s in enumerate(idx):
-            s = int(s)
-            bits = [(s >> (n - 1 - b)) & 1 for b in range(n)]
-            h[k, k] = float(np.dot(lambdas, bits))
-            for b in range(n - 1):
-                if bits[b] == 1 and bits[b + 1] == 0:
-                    hopped = s ^ (1 << (n - 1 - b)) ^ (1 << (n - 2 - b))
-                    kk = position[hopped]
-                    h[k, kk] += profile.omegas[b]
-                    h[kk, k] += profile.omegas[b]
+        bits = table[idx]
+        h = np.zeros((idx.size, idx.size))
+        # summed site by site, so the diagonal keeps its rounding for any fields
+        np.fill_diagonal(h, sum(lam * bits[:, b] for b, lam in enumerate(profile.lambdas)))
+        for b, omega in enumerate(profile.omegas):
+            rows = np.nonzero(bits[:, b] > bits[:, b + 1])[0]
+            cols = np.searchsorted(idx, idx[rows] ^ (3 << (n - 2 - b)))
+            h[rows, cols] = h[cols, rows] = omega
         evals, evecs = np.linalg.eigh(h)
         evals.flags.writeable = False
         evecs.flags.writeable = False
@@ -219,7 +233,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > UNITARY_TOL:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL:  # also refuses NaN
         raise ValueError("matrix is not unitary")
     return u
 
@@ -262,19 +276,6 @@ def full_propagator(profile: CouplingProfile, t: float) -> Propagator:
     return Propagator(float(t), u)
 
 
-@lru_cache(maxsize=32)
-def _mirror_tables(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    dim = 1 << n_sites
-    reversed_index = np.zeros(dim, dtype=np.int64)
-    for s in range(dim):
-        r = 0
-        for b in range(n_sites):
-            r = (r << 1) | ((s >> b) & 1)
-        reversed_index[s] = r
-    reversed_index.flags.writeable = False
-    return reversed_index, _core_weights(n_sites)
-
-
 def mirror_map(state: StateVector, phi_n: float) -> StateVector:
     """Closed-form mirror inversion of the core.
 
@@ -283,7 +284,8 @@ def mirror_map(state: StateVector, phi_n: float) -> StateVector:
     O(2^M); no matrix exponential.
     """
     layout = state.layout
-    reversed_index, weights = _mirror_tables(layout.core_sites)
+    reversed_index = _site_reversal(layout.core_sites)
+    weights = _core_weights(layout.core_sites)
     n = weights.astype(float)
     phases = np.exp(-1j * n * phi_n) * ((-1.0) ** ((weights - (weights & 1)) // 2))
     rest = layout.dim >> layout.core_sites

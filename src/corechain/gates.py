@@ -55,6 +55,10 @@ class FreeEvolve:
 
     duration: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.duration):
+            raise ValueError(f"evolution time must be finite, got {self.duration}")
+
 
 @dataclass(frozen=True)
 class Swap:
@@ -95,6 +99,21 @@ class GateProgram:
     final_locations: tuple[tuple[int, int], ...] = ()
     note: str = ""
 
+    def __post_init__(self):
+        layout, total = self.layout, self.layout.total_qubits
+        for k, op in enumerate(self.instructions):
+            if isinstance(op, Swap) and not (
+                1 <= op.core_site <= layout.core_sites
+                and 0 <= op.partner < total
+                and op.partner != layout.core_position(op.core_site)
+            ):
+                raise ValueError(
+                    f"instruction {k}: swap needs a core site in 1..{layout.core_sites} "
+                    f"and another position in 0..{total - 1}, got {op}"
+                )
+            if isinstance(op, Local) and not 0 <= op.qubit < total:
+                raise ValueError(f"instruction {k}: local qubit {op.qubit} outside 0..{total - 1}")
+
     def location_map(self) -> dict[int, int]:
         return dict(self.final_locations)
 
@@ -111,46 +130,37 @@ class GateProgram:
         return sum(isinstance(i, Local) for i in self.instructions)
 
 
-def _identity_locations(layout: Layout) -> tuple[tuple[int, int], ...]:
-    return tuple((site, layout.core_position(site)) for site in range(1, layout.core_sites + 1))
-
-
 def _relocated_locations(layout: Layout, control: int) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for site in range(1, layout.core_sites + 1):
-        pos = layout.ancilla_position(0) if site == control else layout.core_position(site)
-        pairs.append((site, pos))
-    return tuple(pairs)
+    away = layout.ancilla_position(0)
+    return tuple((s, away if s == control else pos) for s, pos in layout.identity_locations())
 
 
-def _apply_raw(instruction: Instruction, profile: CouplingProfile, layout: Layout, arr: np.ndarray) -> np.ndarray:
-    total = layout.total_qubits
-    if isinstance(instruction, FreeEvolve):
-        if profile.n_sites != layout.core_sites:
-            raise ValueError("profile does not match the program layout")
-        return _evolve_raw(profile, instruction.duration, arr)
-    if isinstance(instruction, Swap):
-        return _swap_raw(arr, total, layout.core_position(instruction.core_site), instruction.partner)
-    return _local_raw(arr, instruction.qubit, instruction.matrix)
+def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray) -> np.ndarray:
+    """Apply the instructions in order to every column of `arr`."""
+    layout = program.layout
+    for instruction in program.instructions:
+        if isinstance(instruction, FreeEvolve):
+            if profile.n_sites != layout.core_sites:
+                raise ValueError("profile does not match the program layout")
+            arr = _evolve_raw(profile, instruction.duration, arr)
+        elif isinstance(instruction, Swap):
+            position = layout.core_position(instruction.core_site)
+            arr = _swap_raw(arr, layout.total_qubits, position, instruction.partner)
+        else:
+            arr = _local_raw(arr, instruction.qubit, instruction.matrix)
+    return arr
 
 
 def execute(program: GateProgram, profile: CouplingProfile, state: StateVector) -> StateVector:
     """Run the program on `state`; free evolutions use `profile`."""
     if state.layout != program.layout:
         raise ValueError("state layout does not match the program layout")
-    arr = state.amplitudes[:, None]
-    for instruction in program.instructions:
-        arr = _apply_raw(instruction, profile, program.layout, arr)
-    return StateVector(program.layout, arr[:, 0])
+    return StateVector(program.layout, _run(program, profile, state.amplitudes[:, None])[:, 0])
 
 
 def program_unitary(program: GateProgram, profile: CouplingProfile) -> np.ndarray:
     """Dense unitary of the whole program over the full layout."""
-    dim = program.layout.dim
-    arr = np.eye(dim, dtype=np.complex128)
-    for instruction in program.instructions:
-        arr = _apply_raw(instruction, profile, program.layout, arr)
-    return arr
+    return _run(program, profile, np.eye(program.layout.dim, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +207,8 @@ def phase_correction(
     if control_position is None:
         control_position = layout.ancilla_position(0)
     doubled = phase_gate(2.0 * phi_n)
-    gates = []
-    for site in range(1, layout.core_sites + 1):
-        if site == control:
-            continue
-        gates.append(Local(layout.core_position(site), doubled, "R(2phi)"))
+    homes = layout.identity_locations()
+    gates = [Local(pos, doubled, "R(2phi)") for site, pos in homes if site != control]
     gates.append(Local(control_position, doubled, "R(2phi)"))
     gates.append(Local(control_position, phase_gate(-phi_n), "R(-phi)"))
     return tuple(gates)
@@ -339,7 +346,7 @@ def controlled_unitary_program(
     return GateProgram(
         tuple(instructions),
         layout,
-        final_locations=_identity_locations(layout),
+        final_locations=layout.identity_locations(),
         note=f"controlled multi-target gate from site {x}",
     )
 

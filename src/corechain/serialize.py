@@ -53,17 +53,20 @@ def write_json(path, obj: Any) -> None:
         fh.write("\n")
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """RFC-4180-style CSV with a header row and fixed float formatting."""
+def csv_lines(header: list[str], rows: list[list]) -> list[str]:
+    """Header and rows as CSV lines, floats in the fixed format."""
     def cell(v):
         if isinstance(v, (float, np.floating)):
             return format_float(v)
         return str(v)
 
+    return [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+
+
+def write_csv(path, header: list[str], rows: list[list]) -> None:
+    """RFC-4180-style CSV with a header row and fixed float formatting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for row in rows:
-            fh.write(",".join(cell(v) for v in row) + "\r\n")
+        fh.write("".join(line + "\r\n" for line in csv_lines(header, rows)))
 
 
 # ---------------------------------------------------------------------------

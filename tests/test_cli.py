@@ -125,6 +125,25 @@ class TestGate:
         assert code == 0
         assert "cat fidelity: 1.0000000000" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--profile", "{uniform}", "--kind", "cat"],
+            ["--christandl", "3", "--kind", "z", "--tau", "1.0", "--run"],
+            ["--christandl", "4", "--kind", "w", "--tau", "2.0", "--run", "--out", "{out}"],
+        ],
+    )
+    def test_refuses_uncertified_chain(self, capsys, tmp_path, argv):
+        uniform = tmp_path / "uniform.json"
+        uniform.write_text('{"n_sites": 4, "omegas": [1, 1, 1], "lambdas": [0, 0, 0, 0]}')
+        out_file = tmp_path / "program.json"
+        args = [a.format(uniform=uniform, out=out_file) for a in argv]
+        code, out, err = run(capsys, "gate", *args)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out_file.exists()
+
     def test_w_program_on_even_chain(self, capsys, tmp_path):
         # the pi-phase chain exercises the correction path end to end
         out_file = tmp_path / "w.json"
@@ -209,6 +228,25 @@ class TestCost:
         assert code == 0
         data = json.loads(out)
         assert data["free_evolutions"] == 2 and data["swaps"] == 1
+
+    def test_program_nan_duration(self, capsys, tmp_path):
+        prog_file = tmp_path / "nan.json"
+        prog_file.write_text(
+            '{"layout": {"core_sites": 2}, "instructions": [{"op": "evolve", "duration": NaN}]}'
+        )
+        code, out, err = run(capsys, "cost", "--program", str(prog_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+    def test_program_swap_out_of_range(self, capsys, tmp_path):
+        prog_file = tmp_path / "swap.json"
+        prog_file.write_text(
+            '{"layout": {"core_sites": 2}, "instructions": [{"op": "swap", "core_site": 1, "partner": 9}]}'
+        )
+        code, _, err = run(capsys, "cost", "--program", str(prog_file))
+        assert code == 1
+        assert err.startswith("error: instruction 0")
 
     def test_needs_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "cost")

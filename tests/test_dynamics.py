@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from corechain import (
     CouplingProfile,
+    Spectrum,
     Layout,
     SizeLimitError,
     StateVector,
@@ -18,9 +19,11 @@ from corechain import (
     full_propagator,
     mirror_map,
     random_state,
+    reconstruct_profile,
     swap_qubits,
     zero_phase_profile,
 )
+from corechain import dynamics
 
 import oracles
 
@@ -45,6 +48,11 @@ def test_statevector_rejects_unnormalized():
     layout = Layout(2)
     with pytest.raises(ValueError):
         StateVector(layout, np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_statevector_rejects_nan():
+    with pytest.raises(ValueError):
+        StateVector(Layout(2), np.array([math.nan, 0.0, 0.0, 0.0]))
 
 
 def test_basis_reads_left_to_right():
@@ -237,6 +245,10 @@ class TestLocals:
         with pytest.raises(ValueError):
             apply_local(StateVector.zero(layout), 0, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError):
+            apply_local(StateVector.zero(Layout(1)), 0, np.full((2, 2), math.nan))
+
     def test_swap_basic(self):
         layout = Layout(2)
         out = swap_qubits(StateVector.basis(layout, "01"), 0, 1)
@@ -274,3 +286,33 @@ class TestFidelity:
             fidelity_up_to_global_phase(
                 StateVector.zero(Layout(2)), StateVector.zero(Layout(1, ancilla_count=1))
             )
+
+
+class TestCoreTables:
+    """The bit-table builders against the per-state loops they replaced."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_weights_and_site_reversal(self, n):
+        weights = [bin(s).count("1") for s in range(1 << n)]
+        reversal = [int(format(s, f"0{n}b")[::-1], 2) for s in range(1 << n)]
+        assert dynamics._core_weights(n).tolist() == weights
+        assert dynamics._site_reversal(n).tolist() == reversal
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_block_eigensystems_bit_identical(self, n):
+        energies = np.sort(np.random.default_rng(n).uniform(-4.0, 4.0, n))
+        for profile in (christandl_profile(n), reconstruct_profile(Spectrum(tuple(energies)))):
+            for idx, evals, evecs in dynamics._block_eigensystems(profile):
+                h = np.zeros((idx.size, idx.size))
+                position = {int(s): k for k, s in enumerate(idx)}
+                for k, s in enumerate(idx.tolist()):
+                    bits = [(s >> (n - 1 - b)) & 1 for b in range(n)]
+                    h[k, k] = float(np.dot(np.asarray(profile.lambdas), bits))
+                    for b in range(n - 1):
+                        if bits[b] == 1 and bits[b + 1] == 0:
+                            kk = position[s ^ (3 << (n - 2 - b))]
+                            h[k, kk] += profile.omegas[b]
+                            h[kk, k] += profile.omegas[b]
+                ref_evals, ref_evecs = np.linalg.eigh(h)
+                assert np.array_equal(evals, ref_evals)
+                assert np.array_equal(evecs, ref_evecs)

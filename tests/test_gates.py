@@ -7,12 +7,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from corechain import (
+    FreeEvolve,
     GateProgram,
     HADAMARD,
     Layout,
+    Local,
     PAULI_X,
     PAULI_Z,
     StateVector,
+    Swap,
     TargetSpec,
     abc_decompose,
     cat_state_program,
@@ -40,6 +43,21 @@ def run_z(profile, n, x, bits, phi_n=0.0):
             program.instructions + phase_correction(phi_n, x, layout), layout
         )
     return execute(program, profile, StateVector.basis(layout, bits))
+
+
+class TestProgramValidation:
+    @pytest.mark.parametrize(
+        "bad", [Swap(1, 9), Swap(1, 0), Swap(0, 3), Swap(5, 4), Local(5, PAULI_Z), Local(-1, PAULI_Z)]
+    )
+    def test_bad_index_names_instruction(self, bad):
+        layout = Layout(4, ancilla_count=1)
+        with pytest.raises(ValueError, match="instruction 1"):
+            GateProgram((FreeEvolve(math.pi), bad), layout)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_nonfinite_duration(self, duration):
+        with pytest.raises(ValueError):
+            FreeEvolve(duration)
 
 
 class TestControlledZ:
