@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import CouplingProfile, mirror_certificate, require_valid_profile
+from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form, require_valid_profile
 from .dynamics import StateVector, evolve, fidelity_up_to_global_phase, mirror_map
 from .errors import InsufficientDataError, InvalidCertificateError
 from .gates import GateProgram
@@ -190,15 +190,16 @@ def timing_error(
 ) -> float:
     """Infidelity 1 - |<ideal | evolved(tau + delta_t)>|^2 of one mirror period.
 
-    The ideal image is the closed-form mirror of `state`; a valid mirror
-    certificate for (profile, tau) is required.  The result vanishes
-    quadratically in delta_t because the leading correction is the energy
-    variance of the state.
+    The ideal image is the closed-form mirror of `state`, so (profile, tau)
+    needs a valid mirror certificate and positive couplings.  The result
+    vanishes quadratically in delta_t because the leading correction is the
+    energy variance of the state.
     """
     certificate = mirror_certificate(profile, tau)
-    if not certificate.is_valid:
+    if not mirror_is_closed_form(profile, certificate):
         raise InvalidCertificateError(
-            f"no mirror certificate at tau={tau}: deviation {certificate.max_deviation:.3g}"
+            f"no closed-form mirror at tau={tau}: certificate deviation "
+            f"{certificate.max_deviation:.3g}, smallest coupling {min(profile.omegas):.3g}"
         )
     ideal = mirror_map(state, phi_n)
     evolved = evolve(profile, state, tau + delta_t)

@@ -221,6 +221,18 @@ def mirror_certificate(profile: CouplingProfile, tau: float) -> MirrorCertificat
     return MirrorCertificate(float(tau), float(phi), float(np.max(deviation)))
 
 
+def mirror_is_closed_form(profile: CouplingProfile, certificate: MirrorCertificate) -> bool:
+    """Whether exp(-i H tau) is the closed-form mirror map with phase `certificate.phi_n`.
+
+    The certificate must hold and every coupling must be positive: the phase
+    is anchored at the top single-excitation eigenvector, which is the
+    mirror-symmetric one only for positive couplings.  A mirror-symmetric
+    chain with a negative coupling can pass the certificate and still evolve
+    to a different image.
+    """
+    return certificate.is_valid and min(profile.omegas) > 0.0
+
+
 def reconstruct_profile(spectrum: Spectrum) -> CouplingProfile:
     """Design the unique mirror-symmetric chain with the given spectrum.
 

@@ -59,6 +59,12 @@ def _emit_json(out, payload: dict) -> None:
         print(serialize.dumps(_with_schema(payload)))
 
 
+def _write_program(out, program: gates.GateProgram) -> None:
+    """Write the schema-marked program to `out`, if a file is given."""
+    if out:
+        serialize.write_json(out, _with_schema(serialize.program_to_dict(program)))
+
+
 def _align_phase(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
     flat = np.argmax(np.abs(target))
     pivot = actual.reshape(-1)[flat]
@@ -160,8 +166,7 @@ def _cmd_gate(args) -> int:
         program = gates.controlled_unitary_program(
             gates.TargetSpec(args.x, targets), layout, tau, phi_n=certificate.phi_n
         )
-    if args.out:
-        serialize.write_json(args.out, _with_schema(serialize.program_to_dict(program)))
+    _write_program(args.out, program)
     if args.run and args.kind != "cat":
         bits = args.input if args.input else "0" * layout.total_qubits
         state = dynamics.StateVector.basis(layout, bits)
@@ -177,8 +182,7 @@ def _dft_matrix(n_qubits: int) -> np.ndarray:
 
 def _cmd_qft(args) -> int:
     program = applications.qft_program(args.n, include_bit_reversal=args.bit_reversal)
-    if args.out:
-        serialize.write_json(args.out, _with_schema(serialize.program_to_dict(program)))
+    _write_program(args.out, program)
     if not args.check:
         return 0
     if args.n > 10:
@@ -202,8 +206,7 @@ def _cmd_hamsim(args) -> int:
         program = applications.direct_pauli_program(mask, args.dt)
     else:
         program = applications.ancilla_pauli_program(mask, args.dt)
-    if args.out:
-        serialize.write_json(args.out, _with_schema(serialize.program_to_dict(program)))
+    _write_program(args.out, program)
     if not args.check:
         return 0
     if mask.n_sites > 6:

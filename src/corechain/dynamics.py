@@ -11,8 +11,11 @@ to 0-based global qubit positions.
 The chain Hamiltonian only ever touches the core factor and conserves the
 number of up spins there, so free evolution is applied per Hamming-weight
 block through a Hermitian eigendecomposition of each block (the largest
-block at the N = 12 cap is 924 x 924).  Everything here is pure: operations
-return new states and never mutate their inputs.
+block at the N = 12 cap is 924 x 924).  Where a period is certified on a
+positive-coupling chain, the same evolution is the closed-form mirror map,
+an O(2^M) gather and phase; gate programs take that kernel there.
+Everything here is pure: operations return new states and never mutate
+their inputs.
 """
 
 from __future__ import annotations
@@ -216,11 +219,35 @@ def _evolve_raw(profile: CouplingProfile, t: float, arr: np.ndarray) -> np.ndarr
     return out.reshape(arr.shape)
 
 
+def _mirror_phases(n_sites: int, phi_n: float) -> np.ndarray:
+    """exp(-i n phi_n) (-1)^((n-m)/2), m = n mod 2, for each core index of weight n."""
+    weights = _core_weights(n_sites)
+    n = weights.astype(float)
+    return np.exp(-1j * n * phi_n) * ((-1.0) ** ((weights - (weights & 1)) // 2))
+
+
+def _mirror_raw(arr: np.ndarray, n_sites: int, phases: np.ndarray) -> np.ndarray:
+    """Closed-form mirror inversion: gather the site-reversed core index, then phase it.
+
+    The reversal is an involution that keeps the weight, so the gather and
+    the phase table share one index.  Costs O(2^M); no eigensystem.
+    """
+    out = arr.reshape(1 << n_sites, -1)[_site_reversal(n_sites)]
+    out *= phases[:, None]  # in place: the gather already made the copy
+    return out.reshape(arr.shape)
+
+
 def _local_raw(arr: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    left = 1 << qubit
-    right = (arr.shape[0] >> (qubit + 1)) * arr.shape[1]
-    view = arr.reshape(left, 2, right)
-    return np.einsum("ab,lbr->lar", u, view).reshape(arr.shape)
+    """Two-row kernel for a 2x2 unitary; a diagonal one only scales each row."""
+    view = arr.reshape(1 << qubit, 2, -1)
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        return (view * np.diagonal(u)[:, None]).reshape(arr.shape)
+    top, bottom = view[:, 0], view[:, 1]
+    out = np.empty_like(view)
+    for row in (0, 1):  # each row built in place: one half-size temporary at a time
+        np.multiply(top, u[row, 0], out=out[:, row])
+        out[:, row] += u[row, 1] * bottom
+    return out.reshape(arr.shape)
 
 
 def _swap_raw(arr: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
@@ -283,16 +310,9 @@ def mirror_map(state: StateVector, phi_n: float) -> StateVector:
     with m = n mod 2 and lands on the site-reversed configuration.  Costs
     O(2^M); no matrix exponential.
     """
-    layout = state.layout
-    reversed_index = _site_reversal(layout.core_sites)
-    weights = _core_weights(layout.core_sites)
-    n = weights.astype(float)
-    phases = np.exp(-1j * n * phi_n) * ((-1.0) ** ((weights - (weights & 1)) // 2))
-    rest = layout.dim >> layout.core_sites
-    amps = state.amplitudes.reshape(1 << layout.core_sites, rest)
-    out = np.empty_like(amps)
-    out[reversed_index] = phases[:, None] * amps
-    return StateVector(layout, out.reshape(layout.dim))
+    n_sites = state.layout.core_sites
+    amps = _mirror_raw(state.amplitudes[:, None], n_sites, _mirror_phases(n_sites, phi_n))
+    return StateVector(state.layout, amps[:, 0])
 
 
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:

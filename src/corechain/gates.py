@@ -9,8 +9,9 @@ and the A/B/C sandwich extends it to arbitrary controlled multi-target
 unitaries with all qubits restored to their original locations.
 
 Programs are plain instruction sequences (applied in list order, first
-instruction first) over a fixed layout; execution is pure and delegates to
-:mod:`corechain.dynamics`.
+instruction first) over a fixed layout.  Execution is pure: a program is
+lowered once per chain into a plan of :mod:`corechain.dynamics` kernel calls
+(see :func:`_plan`), which every caller runs.
 """
 
 from __future__ import annotations
@@ -18,20 +19,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import lru_cache, partial
+from itertools import groupby
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .chain import CouplingProfile
-from .dynamics import (
-    Layout,
-    StateVector,
-    _check_unitary,
-    _evolve_raw,
-    _local_raw,
-    _swap_raw,
-    apply_local,
-)
+from . import dynamics
+from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
+from .dynamics import Layout, StateVector, _check_unitary, apply_local
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -135,19 +131,56 @@ def _relocated_locations(layout: Layout, control: int) -> tuple[tuple[int, int],
     return tuple((s, away if s == control else pos) for s, pos in layout.identity_locations())
 
 
-def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray) -> np.ndarray:
-    """Apply the instructions in order to every column of `arr`."""
+_Step = Callable[[np.ndarray], np.ndarray]
+
+
+def _evolve_step(profile: CouplingProfile, duration: float, n_sites: int) -> _Step:
+    """The closed-form mirror where it is exact, else the block eigensystems."""
+    if profile.n_sites != n_sites:
+        raise ValueError("profile does not match the program layout")
+    if duration > 0:
+        certificate = mirror_certificate(profile, duration)
+        if mirror_is_closed_form(profile, certificate):
+            phases = dynamics._mirror_phases(n_sites, certificate.phi_n)
+            return partial(dynamics._mirror_raw, n_sites=n_sites, phases=phases)
+    return partial(dynamics._evolve_raw, profile, duration)
+
+
+def _fused_locals(run: Iterable[Local]) -> list[_Step]:
+    """One 2x2 per qubit for a run of Locals; Locals on different qubits commute."""
+    fused: dict[int, np.ndarray] = {}
+    for op in run:
+        fused[op.qubit] = op.matrix @ fused[op.qubit] if op.qubit in fused else op.matrix
+    return [partial(dynamics._local_raw, qubit=q, u=m) for q, m in fused.items()]
+
+
+@lru_cache(maxsize=64)
+def _plan(program: GateProgram, profile: CouplingProfile) -> tuple[_Step, ...]:
+    """Lower the program for one chain into kernel calls on the amplitude array."""
     layout = program.layout
-    for instruction in program.instructions:
-        if isinstance(instruction, FreeEvolve):
-            if profile.n_sites != layout.core_sites:
-                raise ValueError("profile does not match the program layout")
-            arr = _evolve_raw(profile, instruction.duration, arr)
-        elif isinstance(instruction, Swap):
-            position = layout.core_position(instruction.core_site)
-            arr = _swap_raw(arr, layout.total_qubits, position, instruction.partner)
-        else:
-            arr = _local_raw(arr, instruction.qubit, instruction.matrix)
+    steps: list[_Step] = []
+    evolutions: dict[float, _Step] = {}  # one certificate and phase table per duration
+    for is_local, run in groupby(program.instructions, key=lambda op: isinstance(op, Local)):
+        if is_local:
+            steps += _fused_locals(run)
+            continue
+        for op in run:
+            if isinstance(op, FreeEvolve):
+                if op.duration not in evolutions:
+                    evolutions[op.duration] = _evolve_step(profile, op.duration, layout.core_sites)
+                steps.append(evolutions[op.duration])
+            else:
+                position = layout.core_position(op.core_site)
+                steps.append(
+                    partial(dynamics._swap_raw, n_qubits=layout.total_qubits, a=position, b=op.partner)
+                )
+    return tuple(steps)
+
+
+def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray) -> np.ndarray:
+    """Apply the program's plan to every column of `arr`."""
+    for step in _plan(program, profile):
+        arr = step(arr)
     return arr
 
 

@@ -55,6 +55,17 @@ def dense_propagator(profile, t):
     return scipy.linalg.expm(-1j * t * dense_hamiltonian(profile))
 
 
+def swap_matrix(a, b, n_qubits):
+    """Permutation exchanging global qubit positions a and b (position 0 = most significant)."""
+    dim = 1 << n_qubits
+    perm = np.zeros((dim, dim))
+    for k in range(dim):
+        bits = list(format(k, f"0{n_qubits}b"))
+        bits[a], bits[b] = bits[b], bits[a]
+        perm[int("".join(bits), 2), k] = 1.0
+    return perm
+
+
 def dft_matrix(n_qubits):
     dim = 1 << n_qubits
     jk = np.outer(np.arange(dim), np.arange(dim))

@@ -173,6 +173,14 @@ class TestTimingError:
         with pytest.raises(InvalidCertificateError):
             timing_error(profile, random_state(Layout(4), seed=1), math.pi, 0.0, 1e-2)
 
+    def test_negative_couplings_refused(self):
+        # the certificate holds (the spectrum is unchanged), but the closed-form image does not
+        base = zero_phase_profile(4)
+        profile = CouplingProfile(4, tuple(-w for w in base.omegas), base.lambdas)
+        assert mirror_certificate(profile, math.pi).is_valid
+        with pytest.raises(InvalidCertificateError, match="smallest coupling"):
+            timing_error(profile, random_state(Layout(4), seed=1), math.pi, 0.0, 1e-3)
+
     def test_global_phase_invariance(self):
         profile = christandl_profile(4)
         cert = mirror_certificate(profile, math.pi)

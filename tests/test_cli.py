@@ -283,6 +283,17 @@ class TestRobustness:
         run(capsys, "robustness", "--n", "4", "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_couplings_exit_one(self, capsys, tmp_path):
+        negated = tmp_path / "negated.json"
+        negated.write_text(
+            '{"n_sites": 4, "omegas": [-0.8660254037844386, -1.0, -0.8660254037844386],'
+            ' "lambdas": [2.5, 2.5, 2.5, 2.5]}'
+        )
+        code, out, err = run(capsys, "robustness", "--profile", str(negated))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
     def test_vacuum_weight_insufficient(self, capsys):
         code, _, err = run(
             capsys, "robustness", "--n", "4", "--weight", "0", "--dts", "1e-1,1e-2,1e-3"
