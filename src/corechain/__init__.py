@@ -54,6 +54,7 @@ from .errors import (
     IllConditionedError,
     InsufficientDataError,
     InvalidCertificateError,
+    InvalidProfileError,
     ReconstructionInfeasibleError,
     SizeLimitError,
     UnsupportedConfigurationError,

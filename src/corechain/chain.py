@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedError, ReconstructionInfeasibleError
+from .errors import IllConditionedError, InvalidProfileError, ReconstructionInfeasibleError
 
 MIRROR_TOL = 1e-12
 CERTIFICATE_TOL = 1e-9
@@ -104,12 +104,16 @@ class ProfileDiagnostics:
     mirror_residual_omega: float
     mirror_residual_lambda: float
     nonpositive_omegas: tuple[int, ...]
+    nonfinite_omegas: tuple[int, ...] = ()
+    nonfinite_lambdas: tuple[int, ...] = ()
 
     @property
     def passed(self) -> bool:
         return (
             self.length_ok
             and not self.nonpositive_omegas
+            and not self.nonfinite_omegas
+            and not self.nonfinite_lambdas
             and self.mirror_residual_omega <= MIRROR_TOL
             and self.mirror_residual_lambda <= MIRROR_TOL
         )
@@ -120,6 +124,10 @@ class ProfileDiagnostics:
         problems = []
         if not self.length_ok:
             problems.append("coupling/field lengths do not match n_sites")
+        if self.nonfinite_omegas:
+            problems.append(f"non-finite couplings at j={list(self.nonfinite_omegas)}")
+        if self.nonfinite_lambdas:
+            problems.append(f"non-finite fields at j={list(self.nonfinite_lambdas)}")
         if self.nonpositive_omegas:
             problems.append(f"nonpositive couplings at j={list(self.nonpositive_omegas)}")
         if self.mirror_residual_omega > MIRROR_TOL or self.mirror_residual_lambda > MIRROR_TOL:
@@ -161,31 +169,43 @@ def zero_phase_profile(n_sites: int) -> CouplingProfile:
 
 
 def validate_profile(profile: CouplingProfile) -> ProfileDiagnostics:
-    """Diagnose lengths, sign convention, and mirror symmetry.  Pure."""
+    """Diagnose lengths, finiteness, sign convention, and mirror symmetry.  Pure."""
     n = profile.n_sites
     length_ok = n >= 2 and len(profile.omegas) == n - 1 and len(profile.lambdas) == n
     if not length_ok:
         return ProfileDiagnostics(False, math.nan, math.nan, ())
     om = np.asarray(profile.omegas)
     lam = np.asarray(profile.lambdas)
-    res_om = float(np.max(np.abs(om - om[::-1]))) if n > 1 else 0.0
-    res_lam = float(np.max(np.abs(lam - lam[::-1])))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; the entry is reported on its own
+        res_om = float(np.max(np.abs(om - om[::-1]))) if n > 1 else 0.0
+        res_lam = float(np.max(np.abs(lam - lam[::-1])))
     bad_signs = tuple(int(j) for j in range(1, n) if profile.omegas[j - 1] <= 0.0)
-    return ProfileDiagnostics(True, res_om, res_lam, bad_signs)
+    return ProfileDiagnostics(
+        True, res_om, res_lam, bad_signs, _nonfinite_sites(om), _nonfinite_sites(lam)
+    )
+
+
+def _nonfinite_sites(values: np.ndarray) -> tuple[int, ...]:
+    """1-based indices of the NaN or infinite entries."""
+    return tuple(int(j) + 1 for j in np.nonzero(~np.isfinite(values))[0])
 
 
 def require_valid_profile(profile: CouplingProfile) -> None:
-    """Reject profiles that are structurally broken (lengths or mirror symmetry).
+    """Reject structurally broken profiles: lengths, non-finite entries, mirror symmetry.
 
     Sign violations are left to :func:`validate_profile`: a zero or negative
     coupling still defines a Hermitian chain, it just breaks the design-side
-    uniqueness convention.
+    uniqueness convention.  Raises :class:`InvalidProfileError`.
     """
     diag = validate_profile(profile)
-    if not diag.length_ok or diag.mirror_residual_omega > MIRROR_TOL or (
-        diag.mirror_residual_lambda > MIRROR_TOL
+    if (
+        not diag.length_ok
+        or diag.nonfinite_omegas
+        or diag.nonfinite_lambdas
+        or diag.mirror_residual_omega > MIRROR_TOL
+        or diag.mirror_residual_lambda > MIRROR_TOL
     ):
-        raise ValueError(f"invalid coupling profile: {diag.describe()}")
+        raise InvalidProfileError(f"invalid coupling profile: {diag.describe()}")
 
 
 def single_excitation_matrix(profile: CouplingProfile) -> JacobiMatrix:
@@ -247,6 +267,11 @@ def reconstruct_profile(spectrum: Spectrum) -> CouplingProfile:
     n = energies.size
     if n < 2:
         raise ValueError(f"need at least 2 energies, got {n}")
+    nonfinite = _nonfinite_sites(energies)
+    if nonfinite:
+        raise ReconstructionInfeasibleError(
+            f"spectrum has non-finite energies at k={list(nonfinite)}"
+        )
     if np.any(np.diff(energies) <= 0.0):
         raise ReconstructionInfeasibleError(
             "spectrum must be strictly increasing: chains with positive "

@@ -5,6 +5,10 @@ class SizeLimitError(ValueError):
     """A request exceeds the dense desk-scale caps."""
 
 
+class InvalidProfileError(ValueError):
+    """A coupling profile is structurally broken: lengths, non-finite entries or mirror symmetry."""
+
+
 class ReconstructionInfeasibleError(ValueError):
     """No positive-coupling chain can realize the requested spectrum."""
 

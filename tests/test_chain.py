@@ -1,6 +1,7 @@
 """Chain construction, certificates, and inverse design."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from corechain import (
     CouplingProfile,
     IllConditionedError,
+    InvalidProfileError,
     ReconstructionInfeasibleError,
     Spectrum,
     christandl_profile,
@@ -138,6 +140,43 @@ class TestValidateProfile:
         before = (profile.omegas, profile.lambdas)
         validate_profile(profile)
         assert (profile.omegas, profile.lambdas) == before
+
+
+class TestNonFiniteEntries:
+    """NaN and infinite entries are named and refused before any eigensolver sees them."""
+
+    @pytest.mark.parametrize(
+        "omegas, lambdas, field, sites",
+        [
+            ((math.nan, math.nan), (1.0, 1.0, 1.0), "nonfinite_omegas", (1, 2)),
+            ((1.0, 1.0), (math.inf, 1.0, math.inf), "nonfinite_lambdas", (1, 3)),
+            ((1.0, 1.0), (0.0, math.nan, 0.0), "nonfinite_lambdas", (2,)),
+            ((1.0, -math.inf), (0.0, 0.0, 0.0), "nonfinite_omegas", (2,)),
+        ],
+    )
+    def test_diagnosed_and_refused(self, omegas, lambdas, field, sites):
+        profile = CouplingProfile(3, omegas, lambdas)
+        diag = validate_profile(profile)
+        assert getattr(diag, field) == sites
+        assert not diag.passed
+        assert f"j={list(sites)}" in diag.describe()
+        with pytest.raises(InvalidProfileError, match=re.escape(f"j={list(sites)}")):
+            mirror_certificate(profile, math.pi)
+
+    def test_finite_profile_reports_none(self):
+        diag = validate_profile(christandl_profile(4))
+        assert diag.nonfinite_omegas == diag.nonfinite_lambdas == ()
+
+    def test_broken_mirror_is_invalid_profile_error(self):
+        with pytest.raises(InvalidProfileError, match="mirror-symmetry"):
+            mirror_certificate(CouplingProfile(3, (1.0, 2.0), (0.0, 0.0, 0.0)), math.pi)
+
+    @pytest.mark.parametrize(
+        "energies, sites", [((0.0, math.nan, 2.0, 3.0), [2]), ((0.0, 1.0, math.inf), [3])]
+    )
+    def test_spectrum_refused(self, energies, sites):
+        with pytest.raises(ReconstructionInfeasibleError, match=re.escape(f"k={sites}")):
+            reconstruct_profile(Spectrum(energies))
 
 
 class TestReconstruction:

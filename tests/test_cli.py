@@ -15,6 +15,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+NAN_COUPLINGS = '{"n_sites": 3, "omegas": [NaN, NaN], "lambdas": [1, 1, 1]}'
+INF_FIELDS = '{"n_sites": 3, "omegas": [1, 1], "lambdas": [Infinity, 1, Infinity]}'
+
+
+@pytest.mark.parametrize(
+    "argv, text, named",
+    [
+        (["verify", "--profile"], NAN_COUPLINGS, "non-finite couplings at j=[1, 2]"),
+        (["robustness", "--profile"], NAN_COUPLINGS, "non-finite couplings at j=[1, 2]"),
+        (
+            ["evolve", "--basis", "100", "--t", "1.0", "--profile"],
+            INF_FIELDS,
+            "non-finite fields at j=[1, 3]",
+        ),
+        (["design", "--spectrum"], '{"energies": [0, NaN, 2, 3]}', "non-finite energies at k=[2]"),
+    ],
+    ids=["verify", "robustness", "evolve", "design"],
+)
+def test_nonfinite_input_exits_one(capsys, tmp_path, argv, text, named):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert named in err
+
+
 class TestDesign:
     def test_christandl(self, capsys, tmp_path):
         out_file = tmp_path / "profile.json"

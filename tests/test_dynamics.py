@@ -1,6 +1,8 @@
 """State evolution, the closed-form mirror map, and the local primitives."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from corechain import (
     CouplingProfile,
+    InvalidProfileError,
     Spectrum,
     Layout,
     SizeLimitError,
@@ -24,8 +27,21 @@ from corechain import (
     zero_phase_profile,
 )
 from corechain import dynamics
+from corechain.serialize import profile_from_dict
 
 import oracles
+
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+
+
+# the golden recon5/recon6 inputs and a seeded n = 8 chain, all with non-uniform fields
+RECONSTRUCTED = {
+    f"recon{n}": profile_from_dict(json.loads((INPUTS / f"recon{n}.json").read_text()))
+    for n in (5, 6)
+}
+RECONSTRUCTED["seeded8"] = reconstruct_profile(
+    Spectrum(tuple(np.sort(np.random.default_rng(8).uniform(-4.0, 4.0, 8))))
+)
 
 
 def test_layout_positions():
@@ -92,6 +108,28 @@ class TestEvolve:
             expected = oracles.dense_propagator(profile, t) @ state.amplitudes
             out = evolve(profile, state, t)
             assert np.max(np.abs(out.amplitudes - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("profile", RECONSTRUCTED.values(), ids=RECONSTRUCTED.keys())
+    def test_reconstructed_chain_with_ancilla_and_store(self, profile):
+        layout = Layout(profile.n_sites, ancilla_count=1, store_sites=1)
+        state = random_state(layout, seed=11)
+        for t in (0.77, math.pi + 1e-3, math.pi + 0.1, 5.0):
+            expected = np.kron(oracles.dense_propagator(profile, t), np.eye(4)) @ state.amplitudes
+            out = evolve(profile, state, t)
+            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+
+    def test_builds_no_propagator(self):
+        profile = CouplingProfile(4, (0.61, 0.83, 0.61), (0.17, -0.4, -0.4, 0.17))
+        before = dynamics._block_propagators.cache_info()
+        evolve(profile, random_state(Layout(4, ancilla_count=1), seed=5), 0.913)
+        assert dynamics._block_propagators.cache_info() == before  # currsize included
+        expected = oracles.dense_propagator(profile, 0.913)
+        assert np.max(np.abs(full_propagator(profile, 0.913).matrix - expected)) <= 1e-12
+
+    def test_rejects_nonfinite_profile(self):
+        profile = CouplingProfile(3, (1.0, 1.0), (math.inf, 1.0, math.inf))
+        with pytest.raises(InvalidProfileError, match=r"non-finite fields at j=\[1, 3\]"):
+            evolve(profile, StateVector.zero(Layout(3)), 1.0)
 
     def test_profile_layout_mismatch(self):
         with pytest.raises(ValueError):

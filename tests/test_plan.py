@@ -30,9 +30,9 @@ from corechain.serialize import profile_from_dict
 
 import oracles
 
-RECON5 = profile_from_dict(
-    json.loads((Path(__file__).resolve().parent / "golden" / "inputs" / "recon5.json").read_text())
-)
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+RECON5 = profile_from_dict(json.loads((INPUTS / "recon5.json").read_text()))
+RECON6 = profile_from_dict(json.loads((INPUTS / "recon6.json").read_text()))
 OFF_PERIOD = 1.3
 
 
@@ -169,3 +169,24 @@ def test_random_programs_match_dense_oracle(name, data, seed):
         for column in np.eye(program.layout.dim, dtype=complex)
     ]
     assert np.max(np.abs(full - np.column_stack(columns))) <= 1e-12
+
+
+def test_off_period_program_unitary_on_eight_qubits():
+    layout = Layout(6, ancilla_count=1, store_sites=1)
+    program = GateProgram(
+        (
+            Local(0, oracles.H),
+            Local(6, oracles.H),
+            Local(3, phase_gate(0.4)),
+            FreeEvolve(OFF_PERIOD),
+            Swap(2, 7),
+            Local(1, oracles.H),
+            FreeEvolve(0.77),
+            Swap(6, 6),
+            FreeEvolve(math.pi + 0.1),
+        ),
+        layout,
+    )
+    assert kernels(program, RECON6).count("_evolve_raw") == 3
+    reference = dense_program(program, RECON6)
+    assert np.max(np.abs(program_unitary(program, RECON6) - reference)) <= 1e-12
