@@ -230,8 +230,9 @@ def robustness_fit(
     dts = [float(dt) for dt in delta_ts]
     if len(dts) < 3:
         raise ValueError("need at least 3 delta_t samples")
-    if any(dt <= 0 for dt in dts) or max(dts) > 0.1 + 1e-12:
-        raise ValueError("delta_t samples must be positive and at most 1e-1")
+    bad = [dt for dt in dts if not 0 < dt <= 0.1 + 1e-12]  # NaN fails every comparison
+    if bad:
+        raise ValueError(f"delta_t samples must be positive, finite and at most 1e-1, got {bad[0]}")
     if max(dts) / min(dts) < 10.0 - 1e-9:
         raise ValueError("delta_t samples must span at least a decade")
 

@@ -227,8 +227,8 @@ def mirror_certificate(profile: CouplingProfile, tau: float) -> MirrorCertificat
     incommensurate spectrum never raises; it simply reports a large
     deviation.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:  # also refuses NaN
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     require_valid_profile(profile)
     energies = single_excitation_matrix(profile).eigenvalues()[::-1]  # descending
     phi = math.remainder(energies[0] * tau, 2.0 * math.pi)

@@ -10,7 +10,6 @@ paths print a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -30,7 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return serialize.loads(fh.read())
 
 
 def _profile_from_args(args) -> chain.CouplingProfile:

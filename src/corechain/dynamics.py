@@ -10,11 +10,15 @@ to 0-based global qubit positions.
 
 The chain Hamiltonian only ever touches the core factor and conserves the
 number of up spins there, so free evolution is applied per Hamming-weight
-block through a Hermitian eigendecomposition H_w = V diag(E) V^T of each
-block (the largest block at the N = 12 cap is 924 x 924).  Any duration is
-applied in that eigenbasis, V (e^{-iEt} o V^T x), so a new duration costs
-two real matrix products and no dense propagator is built.  Where a period
-is certified on a positive-coupling chain, the same evolution is the
+block (the largest block at the N = 12 cap is 924 x 924).  The chain is
+free fermions: nearest-neighbour hops carry no Jordan-Wigner sign, so each
+block H_w is the additive compound of the N x N single-excitation matrix J.
+Its eigensystem H_w = V diag(E) V^T therefore comes from J's alone, as
+Slater determinants (w x w minors of J's eigenvectors) with summed mode
+energies, and no block is ever diagonalized.  Any duration is applied in
+that eigenbasis, V (e^{-iEt} o V^T x), so a new duration costs two real
+matrix products and no dense propagator is built.  Where a period is
+certified on a positive-coupling chain, the same evolution is the
 closed-form mirror map, an O(2^M) gather and phase; gate programs take that
 kernel there.
 Everything here is pure: operations return new states and never mutate
@@ -30,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import CouplingProfile, require_valid_profile
+from .chain import CouplingProfile, single_excitation_matrix
 from .errors import SizeLimitError
 
 MAX_TOTAL_QUBITS = 16
@@ -178,21 +182,46 @@ def _weight_blocks(n_sites: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=16)
 def _block_eigensystems(profile: CouplingProfile):
-    """Per-weight-block (indices, eigenvalues, eigenvectors) of the core H."""
-    require_valid_profile(profile)
+    """Per-weight-block (indices, eigenvalues, eigenvectors) of the core H, from its modes.
+
+    The only eigendecomposition is J = v diag(E) v^T of the n x n
+    single-excitation (Jacobi) matrix.  A nearest-neighbour hop crosses no
+    other site, so it carries no Jordan-Wigner sign, and the weight-w block,
+    +omega_j on each hop and sum lambda_j on the diagonal, is exactly the
+    additive compound of J.  Its eigenvectors are therefore the w x w minors
+    V_w[S, T] = det v[S, T] (sites S by rows, modes T by columns, both in
+    block order) with eigenvalues sum_{k in T} E_k.  The construction is
+    exact for any real couplings, zero and negative ones included; the
+    eigenvalues come in block order, not ascending.
+
+    Each V_w is built from V_{w-1} by expanding every minor along its last
+    mode t: det v[S, T] = sum_i (-1)^(w-1-i) v[s_i, t] det v[S - s_i, T - t],
+    i.e. w signed row gathers of V_{w-1} scaled by gathered entries of v.
+    That costs sum_w w C(n, w)^2 multiply-adds instead of sum_w C(n, w)^3.
+    """
     n = profile.n_sites
+    energies, modes = np.linalg.eigh(single_excitation_matrix(profile).to_dense())
     table = _core_bits(n)
+    blocks = _weight_blocks(n)
+    evecs = np.ones((1, 1))
     systems = []
-    for idx in _weight_blocks(n):
+    for w, idx in enumerate(blocks):
         bits = table[idx]
-        h = np.zeros((idx.size, idx.size))
-        # summed site by site, so the diagonal keeps its rounding for any fields
-        np.fill_diagonal(h, sum(lam * bits[:, b] for b, lam in enumerate(profile.lambdas)))
-        for b, omega in enumerate(profile.omegas):
-            rows = np.nonzero(bits[:, b] > bits[:, b + 1])[0]
-            cols = np.searchsorted(idx, idx[rows] ^ (3 << (n - 2 - b)))
-            h[rows, cols] = h[cols, rows] = omega
-        evals, evecs = np.linalg.eigh(h)
+        if w:
+            occupied = np.nonzero(bits)[1].reshape(idx.size, w)  # ascending sites/modes
+            # rank in the weight-(w-1) block of each state with one of its entries removed
+            minus = np.searchsorted(blocks[w - 1], idx[:, None] ^ (1 << (n - 1 - occupied)))
+            cols = evecs[:, minus[:, -1]]  # V_{w-1}[S', T - t]
+            top = modes[:, occupied[:, -1]]  # v[s, t]
+            evecs = np.zeros((idx.size, idx.size))
+            for i in range(w):
+                term = cols[minus[:, i]]
+                term *= top[occupied[:, i]]
+                if (w - 1 - i) % 2:
+                    evecs -= term
+                else:
+                    evecs += term
+        evals = bits @ energies
         evals.flags.writeable = False
         evecs.flags.writeable = False
         systems.append((idx, evals, evecs))

@@ -47,6 +47,11 @@ def dumps(obj: Any, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
+def loads(text: str) -> Any:
+    """Parse JSON; the "-0" that :func:`dumps` writes for a negative zero reads back as -0.0."""
+    return json.loads(text, parse_int=lambda token: -0.0 if token == "-0" else int(token))
+
+
 def write_json(path, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(obj))

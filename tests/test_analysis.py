@@ -238,3 +238,10 @@ class TestRobustnessFit:
             robustness_fit(profile, state, math.pi, 0.0, [0.5, 0.05, 0.005])  # too large
         with pytest.raises(ValueError):
             robustness_fit(profile, state, math.pi, 0.0, [1e-1, 9e-2, 8e-2])  # no decade
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_delta_t(self, bad):
+        profile = christandl_profile(4)
+        state = random_state(Layout(4), seed=1)
+        with pytest.raises(ValueError, match=f"delta_t samples must be positive, finite.* got {bad}"):
+            robustness_fit(profile, state, math.pi, 0.0, [1e-1, bad, 1e-3])

@@ -115,6 +115,11 @@ class TestMirrorCertificate:
         with pytest.raises(ValueError):
             mirror_certificate(christandl_profile(3), 0.0)
 
+    @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_tau(self, tau):
+        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
+            mirror_certificate(christandl_profile(4), tau)
+
 
 class TestValidateProfile:
     def test_christandl_passes(self):

@@ -43,6 +43,24 @@ def test_nonfinite_input_exits_one(capsys, tmp_path, argv, text, named):
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("verify --christandl 4 --tau inf", "tau must be positive and finite, got inf"),
+        ("design --christandl 4 --tau inf", "tau must be positive and finite, got inf"),
+        ("robustness --n 4 --tau inf", "tau must be positive and finite, got inf"),
+        ("robustness --n 4 --dts 0.1,nan,0.001", "delta_t samples must be positive, finite"),
+    ],
+    ids=["verify-tau", "design-tau", "robustness-tau", "robustness-dts"],
+)
+def test_nonfinite_argument_exits_one(capsys, argv, named):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert named in err
+
+
 class TestDesign:
     def test_christandl(self, capsys, tmp_path):
         out_file = tmp_path / "profile.json"

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from corechain import (
@@ -338,8 +340,18 @@ class TestCoreTables:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_block_eigensystems_bit_identical(self, n):
+        # the Slater eigenbasis diagonalizes each block H_w built site by site
         energies = np.sort(np.random.default_rng(n).uniform(-4.0, 4.0, n))
-        for profile in (christandl_profile(n), reconstruct_profile(Spectrum(tuple(energies)))):
+        recon = reconstruct_profile(Spectrum(tuple(energies)))
+        open_ends = list(christandl_profile(n).omegas)
+        open_ends[0] = open_ends[-1] = 0.0
+        profiles = (
+            christandl_profile(n),
+            recon,
+            CouplingProfile(n, tuple(-w for w in recon.omegas), recon.lambdas),
+            CouplingProfile(n, tuple(open_ends), recon.lambdas),
+        )
+        for profile in profiles:
             for idx, evals, evecs in dynamics._block_eigensystems(profile):
                 h = np.zeros((idx.size, idx.size))
                 position = {int(s): k for k, s in enumerate(idx)}
@@ -351,6 +363,33 @@ class TestCoreTables:
                             kk = position[s ^ (3 << (n - 2 - b))]
                             h[k, kk] += profile.omegas[b]
                             h[kk, k] += profile.omegas[b]
-                ref_evals, ref_evecs = np.linalg.eigh(h)
-                assert np.array_equal(evals, ref_evals)
-                assert np.array_equal(evecs, ref_evecs)
+                scale = max(1.0, float(np.max(np.abs(evals))))
+                assert_allclose(np.sort(evals), np.linalg.eigvalsh(h), rtol=0, atol=1e-12 * scale)
+                assert np.linalg.norm(h @ evecs - evecs * evals, 2) <= 1e-12 * scale
+                assert np.linalg.norm(evecs.T @ evecs - np.eye(idx.size), 2) <= 1e-13
+
+
+couplings = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_nan=False))
+fields = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@st.composite
+def mirror_profiles(draw):
+    n = draw(st.integers(2, 7))
+    omegas = [draw(couplings) for _ in range(n // 2)]
+    lambdas = [draw(fields) for _ in range((n + 1) // 2)]
+    return CouplingProfile(
+        n, tuple(omegas + omegas[: (n - 1) // 2][::-1]), tuple(lambdas + lambdas[: n // 2][::-1])
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    profile=mirror_profiles(),
+    t=st.floats(-10.0, 10.0, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evolve_matches_dense_propagator_on_signed_chains(profile, t, seed):
+    state = random_state(Layout(profile.n_sites), seed=seed)
+    expected = oracles.dense_propagator(profile, t) @ state.amplitudes
+    assert np.max(np.abs(evolve(profile, state, t).amplitudes - expected)) <= 1e-12

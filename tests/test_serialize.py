@@ -4,19 +4,27 @@ import json
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corechain import (
     CostReport,
+    CouplingProfile,
     Layout,
     PauliString,
     Spectrum,
     StateVector,
     TargetSpec,
+    TrotterPlan,
+    ancilla_pauli_program,
     christandl_profile,
     controlled_unitary_program,
+    direct_pauli_program,
     phase_gate,
     qft_program,
     random_state,
+    trotter_program,
 )
 from corechain import serialize
 
@@ -109,3 +117,73 @@ def test_csv_deterministic(tmp_path):
     serialize.write_csv(b, ["n", "x"], rows)
     assert a.read_bytes() == b.read_bytes()
     assert a.read_text().splitlines()[0] == "n,x"
+
+
+# ---------------------------------------------------------------------------
+# byte identity of dumps -> loads -> from_dict -> to_dict -> dumps
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def profiles(draw):
+    n = draw(st.integers(2, 6))
+    omegas = draw(st.lists(finite, min_size=n - 1, max_size=n - 1))
+    return CouplingProfile(n, omegas, draw(st.lists(finite, min_size=n, max_size=n)))
+
+
+@st.composite
+def layouts(draw):
+    core = draw(st.integers(1, 6))
+    ancilla = draw(st.integers(0, 2))
+    return Layout(core, ancilla, draw(st.integers(0, max(0, 7 - core - ancilla))))
+
+
+@st.composite
+def states(draw):
+    layout = draw(layouts())
+    weight = draw(st.one_of(st.none(), st.integers(0, layout.core_sites)))
+    state = random_state(layout, seed=draw(st.integers(0, 2**32 - 1)), core_weight=weight)
+    phase = draw(st.sampled_from([1, -1, 1j, -1j]))  # a sign flip turns zero amplitudes into -0.0
+    return StateVector(layout, state.amplitudes * phase)
+
+
+@st.composite
+def programs(draw):
+    n = draw(st.integers(1, 4))
+    angle = draw(st.floats(-math.pi, math.pi, allow_nan=False))
+    tau = draw(st.floats(0.5, 4.0, allow_nan=False))
+    full = draw(st.text("xyz", min_size=n, max_size=n))
+    mask = PauliString.from_string(draw(st.sampled_from([full, "i" * (n - 1) + full[-1]])))
+    programs_of = [
+        lambda: qft_program(n, tau=tau, include_bit_reversal=draw(st.booleans())),
+        lambda: controlled_unitary_program(
+            TargetSpec(1, {j: phase_gate(angle) for j in range(2, n + 2)}), Layout(n + 1, 1), tau
+        ),
+        lambda: ancilla_pauli_program(mask, angle, tau),
+        lambda: direct_pauli_program(PauliString.from_string(full), angle, tau),
+        lambda: trotter_program(TrotterPlan(((mask, angle),), tau / 8, 2), tau),
+    ]
+    return draw(st.sampled_from(programs_of))()
+
+
+CODECS = {
+    "profile": (profiles(), serialize.profile_to_dict, serialize.profile_from_dict),
+    "spectrum": (
+        st.lists(finite, min_size=1, max_size=8).map(lambda e: Spectrum(tuple(e))),
+        serialize.spectrum_to_dict,
+        serialize.spectrum_from_dict,
+    ),
+    "layout": (layouts(), serialize.layout_to_dict, serialize.layout_from_dict),
+    "state": (states(), serialize.state_to_dict, serialize.state_from_dict),
+    "program": (programs(), serialize.program_to_dict, serialize.program_from_dict),
+}
+
+
+@pytest.mark.parametrize("kind", CODECS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_round_trip_is_byte_identical(kind, data):
+    strategy, to_dict, from_dict = CODECS[kind]
+    text = serialize.dumps(to_dict(data.draw(strategy)))
+    assert serialize.dumps(to_dict(from_dict(serialize.loads(text)))) == text
