@@ -10,7 +10,7 @@ switching event.  A pairwise primitive at strength w takes time pi/(2 w).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class CostReport:
 
 def cost_of_program(program: GateProgram, tau: float) -> CostReport:
     """Exact instruction census; core time is tau per free evolution."""
+    if not 0 < tau < math.inf:  # also refuses NaN
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     free = program.free_evolution_count
     return CostReport(free, program.swap_count, program.local_count, core_time=tau * free)
 
@@ -130,16 +132,10 @@ def switched_qft_cost(n: int) -> CostReport:
     Times take omega_max = n/4 for the switched baseline, matching the
     linear-spectrum chain's strongest coupling.
     """
-    core = qft_core_census(n)
     swap_events, phase_events, depth = _switched_qft_schedule(n)
     interval = math.pi / (2.0 * (n / 4.0)) if n > 1 else 0.0
-    return CostReport(
-        free_evolutions=core.free_evolutions,
-        swaps=core.swaps,
-        local_ops=core.local_ops,
-        switch_events=swap_events + phase_events,
-        core_time=core.core_time,
-        switched_time=depth * interval,
+    return replace(
+        qft_core_census(n), switch_events=swap_events + phase_events, switched_time=depth * interval
     )
 
 

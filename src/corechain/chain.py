@@ -16,7 +16,7 @@ single-excitation eigenvalues E_k and some k-independent phase phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,7 +123,7 @@ class ProfileDiagnostics:
             return "profile ok"
         problems = []
         if not self.length_ok:
-            problems.append("coupling/field lengths do not match n_sites")
+            problems.append("need at least 2 sites, with n_sites - 1 couplings and n_sites fields")
         if self.nonfinite_omegas:
             problems.append(f"non-finite couplings at j={list(self.nonfinite_omegas)}")
         if self.nonfinite_lambdas:
@@ -198,13 +198,7 @@ def require_valid_profile(profile: CouplingProfile) -> None:
     uniqueness convention.  Raises :class:`InvalidProfileError`.
     """
     diag = validate_profile(profile)
-    if (
-        not diag.length_ok
-        or diag.nonfinite_omegas
-        or diag.nonfinite_lambdas
-        or diag.mirror_residual_omega > MIRROR_TOL
-        or diag.mirror_residual_lambda > MIRROR_TOL
-    ):
+    if not replace(diag, nonpositive_omegas=()).passed:
         raise InvalidProfileError(f"invalid coupling profile: {diag.describe()}")
 
 
@@ -229,7 +223,6 @@ def mirror_certificate(profile: CouplingProfile, tau: float) -> MirrorCertificat
     """
     if not 0 < tau < math.inf:  # also refuses NaN
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    require_valid_profile(profile)
     energies = single_excitation_matrix(profile).eigenvalues()[::-1]  # descending
     phi = math.remainder(energies[0] * tau, 2.0 * math.pi)
     if phi < -math.pi + 1e-12:  # canonicalize the -pi/+pi boundary

@@ -10,6 +10,7 @@ paths print a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -21,10 +22,14 @@ from .errors import InvalidCertificateError
 SCHEMA = "1"
 
 
+def _fail(message: str, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # single-line diagnostics, exit code 2
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_fail(message, 2))
 
 
 def _load_json(path):
@@ -33,7 +38,7 @@ def _load_json(path):
 
 
 def _profile_from_args(args) -> chain.CouplingProfile:
-    if getattr(args, "christandl", None) is not None:
+    if args.christandl is not None:
         return chain.christandl_profile(args.christandl)
     return serialize.profile_from_dict(_load_json(args.profile))
 
@@ -50,18 +55,18 @@ def _with_schema(payload: dict) -> dict:
     return {"schema": SCHEMA, **payload}
 
 
+def _write_json(out, payload: dict) -> None:
+    """Write the schema-marked payload to `out`, if a file is given."""
+    if out:
+        serialize.write_json(out, _with_schema(payload))
+
+
 def _emit_json(out, payload: dict) -> None:
     """Write the schema-marked payload to `out`, or print it when no file is given."""
     if out:
-        serialize.write_json(out, _with_schema(payload))
+        _write_json(out, payload)
     else:
         print(serialize.dumps(_with_schema(payload)))
-
-
-def _write_program(out, program: gates.GateProgram) -> None:
-    """Write the schema-marked program to `out`, if a file is given."""
-    if out:
-        serialize.write_json(out, _with_schema(serialize.program_to_dict(program)))
 
 
 def _align_phase(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -73,11 +78,24 @@ def _align_phase(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
     return actual * (reference / abs(reference)) * (abs(pivot) / pivot)
 
 
-def _restricted_unitary(full: np.ndarray, layout: dynamics.Layout, data_positions):
-    """Block of `full` on the data positions, all other qubits held in |0>."""
-    weights = 1 << (layout.total_qubits - 1 - np.asarray(data_positions))
-    indices = dynamics._core_bits(len(data_positions)) @ weights
-    return full[np.ix_(indices, indices)]
+def _data_block(
+    program: gates.GateProgram, profile: chain.CouplingProfile | None, first: int, count: int
+) -> np.ndarray:
+    """Program block on the adjacent qubits first..first+count-1, all others held in |0>.
+
+    Only the 2^count identity columns the block reads are run, not the whole unitary.
+    """
+    columns = np.arange(1 << count) * (1 << (program.layout.total_qubits - first - count))
+    identity = np.zeros((program.layout.dim, columns.size), dtype=np.complex128)
+    identity[columns, np.arange(columns.size)] = 1.0
+    return gates._run(program, profile, identity)[columns]
+
+
+def _check_block(block: np.ndarray, target: np.ndarray, name: str) -> int:
+    """Print the largest deviation from `target` up to a global phase; 1 above 1e-8."""
+    deviation = float(np.max(np.abs(_align_phase(block, target) - target)))
+    print(f"max |Δ| vs {name}: {deviation:.3e}")
+    return 0 if deviation <= 1e-8 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +104,7 @@ def _restricted_unitary(full: np.ndarray, layout: dynamics.Layout, data_position
 
 def _cmd_design(args) -> int:
     if (args.christandl is None) == (args.spectrum is None):
-        print("error: design needs exactly one of --christandl or --spectrum", file=sys.stderr)
-        return 2
+        return _fail("design needs exactly one of --christandl or --spectrum", 2)
     if args.christandl is not None:
         profile = chain.christandl_profile(args.christandl)
     else:
@@ -102,8 +119,7 @@ def _cmd_design(args) -> int:
 def _cmd_verify(args) -> int:
     profile = _profile_from_args(args)
     certificate = chain.mirror_certificate(profile, args.tau)
-    if args.out:
-        serialize.write_json(args.out, _with_schema(serialize.certificate_to_dict(certificate)))
+    _write_json(args.out, serialize.certificate_to_dict(certificate))
     print(_certificate_line(certificate))
     return 0 if certificate.is_valid else 1
 
@@ -111,8 +127,7 @@ def _cmd_verify(args) -> int:
 def _cmd_evolve(args) -> int:
     profile = _profile_from_args(args)
     if (args.basis is None) == (args.state is None):
-        print("error: evolve needs exactly one of --basis or --state", file=sys.stderr)
-        return 2
+        return _fail("evolve needs exactly one of --basis or --state", 2)
     if args.state:
         state = serialize.state_from_dict(_load_json(args.state))
     else:
@@ -165,7 +180,7 @@ def _cmd_gate(args) -> int:
         program = gates.controlled_unitary_program(
             gates.TargetSpec(args.x, targets), layout, tau, phi_n=certificate.phi_n
         )
-    _write_program(args.out, program)
+    _write_json(args.out, serialize.program_to_dict(program))
     if args.run and args.kind != "cat":
         bits = args.input if args.input else "0" * layout.total_qubits
         state = dynamics.StateVector.basis(layout, bits)
@@ -181,22 +196,17 @@ def _dft_matrix(n_qubits: int) -> np.ndarray:
 
 def _cmd_qft(args) -> int:
     program = applications.qft_program(args.n, include_bit_reversal=args.bit_reversal)
-    _write_program(args.out, program)
+    _write_json(args.out, serialize.program_to_dict(program))
     if not args.check:
         return 0
     if args.n > 10:
-        print(f"error: --check builds a dense unitary and is capped at 10 sites, got {args.n}", file=sys.stderr)
-        return 1
+        return _fail(f"--check builds a dense unitary and is capped at 10 sites, got {args.n}", 1)
     # a 1-site program has no free evolutions, so no chain is consulted
     profile = chain.zero_phase_profile(args.n) if args.n >= 2 else None
-    full = gates.program_unitary(program, profile)
-    data_positions = [program.layout.core_position(s) for s in range(1, args.n + 1)]
-    block = _restricted_unitary(full, program.layout, data_positions)
+    block = _data_block(program, profile, program.layout.core_position(1), args.n)
     if not args.bit_reversal:
         block = block[dynamics._site_reversal(args.n)]
-    deviation = float(np.max(np.abs(_align_phase(block, _dft_matrix(args.n)) - _dft_matrix(args.n))))
-    print(f"max |Δ| vs DFT: {deviation:.3e}")
-    return 0 if deviation <= 1e-8 else 1
+    return _check_block(block, _dft_matrix(args.n), "DFT")
 
 
 def _cmd_hamsim(args) -> int:
@@ -205,67 +215,55 @@ def _cmd_hamsim(args) -> int:
         program = applications.direct_pauli_program(mask, args.dt)
     else:
         program = applications.ancilla_pauli_program(mask, args.dt)
-    _write_program(args.out, program)
+    _write_json(args.out, serialize.program_to_dict(program))
     if not args.check:
         return 0
     if mask.n_sites > 6:
-        print(f"error: --check capped at 6 data sites, got {mask.n_sites}", file=sys.stderr)
-        return 1
+        return _fail(f"--check capped at 6 data sites, got {mask.n_sites}", 1)
     profile = chain.zero_phase_profile(program.layout.core_sites)
-    full = gates.program_unitary(program, profile)
-    data_positions = [program.layout.core_position(s + 1) for s in range(1, mask.n_sites + 1)]
-    block = _restricted_unitary(full, program.layout, data_positions)
+    # data site j sits on chain site j + 1, after the parity site
+    block = _data_block(program, profile, program.layout.core_position(2), mask.n_sites)
     # the string squares to the identity, so its exponential is closed-form
     string = mask.dense()
     target = math.cos(args.dt) * np.eye(string.shape[0]) - 1j * math.sin(args.dt) * string
-    deviation = float(np.max(np.abs(_align_phase(block, target) - target)))
-    print(f"max |Δ| vs exp(-i P dt): {deviation:.3e}")
-    return 0 if deviation <= 1e-8 else 1
+    return _check_block(block, target, "exp(-i P dt)")
+
+
+# `cost --qft` CSV column -> CostReport attribute
+_QFT_COLUMNS = {
+    "core_free_evolutions": "free_evolutions",
+    "core_swaps": "swaps",
+    "core_local_ops": "local_ops",
+    "core_switch_events": "core_switch_events",
+    "switched_switch_events": "switch_events",
+    "core_time": "core_time",
+    "switched_time": "switched_time",
+}
 
 
 def _cmd_cost(args) -> int:
-    chosen = [bool(args.qft), bool(args.concat), args.program is not None]
-    if sum(chosen) != 1:
-        print("error: cost needs exactly one of --qft, --concat, --program", file=sys.stderr)
-        return 2
+    if [bool(args.qft), bool(args.concat), args.program is not None].count(True) != 1:
+        return _fail("cost needs exactly one of --qft, --concat, --program", 2)
+    if args.tau is not None and args.program is None:
+        return _fail("--tau applies to cost --program only", 2)
     if args.program is not None:
         program = serialize.program_from_dict(_load_json(args.program))
-        report = analysis.cost_of_program(program, args.tau)
+        report = analysis.cost_of_program(program, math.pi if args.tau is None else args.tau)
         _emit_json(args.out, serialize.cost_report_to_dict(report))
         return 0
     if args.concat:
-        rows = []
-        for level in range(args.levels + 1):
-            cc = analysis.steane_concat_cost(level)
-            rows.append([cc.levels, cc.targets_per_gate, cc.controlled_gate_count, cc.switched_elementary_ops])
-        header = ["levels", "targets_per_gate", "controlled_gate_count", "switched_elementary_ops"]
+        if args.levels < 0:
+            return _fail(f"--levels must be nonnegative, got {args.levels}", 2)
+        header = [f.name for f in dataclasses.fields(analysis.ConcatCost)]
+        rows = [dataclasses.astuple(analysis.steane_concat_cost(k)) for k in range(args.levels + 1)]
     else:
-        lo, hi = args.n_range
-        header = [
-            "n",
-            "core_free_evolutions",
-            "core_swaps",
-            "core_local_ops",
-            "core_switch_events",
-            "switched_switch_events",
-            "core_time",
-            "switched_time",
-        ]
+        if args.n_range is None:
+            return _fail("cost --qft needs --n-range A..B", 2)
+        header = ["n", *_QFT_COLUMNS]
         rows = []
-        for n in range(lo, hi + 1):
+        for n in range(args.n_range[0], args.n_range[1] + 1):
             report = analysis.switched_qft_cost(n)
-            rows.append(
-                [
-                    n,
-                    report.free_evolutions,
-                    report.swaps,
-                    report.local_ops,
-                    report.core_switch_events,
-                    report.switch_events,
-                    report.core_time,
-                    report.switched_time,
-                ]
-            )
+            rows.append([n, *(getattr(report, name) for name in _QFT_COLUMNS.values())])
     if args.out:
         serialize.write_csv(args.out, header, rows)
     else:
@@ -280,15 +278,9 @@ def _cmd_robustness(args) -> int:
     certificate = chain.mirror_certificate(profile, args.tau)
     dts = [float(part) for part in args.dts.split(",")]
     report = analysis.robustness_fit(profile, state, args.tau, certificate.phi_n, dts)
-    payload = _with_schema(serialize.robustness_report_to_dict(report))
-    if args.out:
-        serialize.write_json(args.out, payload)
+    _write_json(args.out, serialize.robustness_report_to_dict(report))
     if args.csv:
-        serialize.write_csv(
-            args.csv,
-            ["delta_t", "error"],
-            [[dt, e] for dt, e in zip(report.delta_ts, report.errors)],
-        )
+        serialize.write_csv(args.csv, ["delta_t", "error"], zip(report.delta_ts, report.errors))
     print(f"fitted_order: {report.fitted_order:.6f}")
     return 0
 
@@ -300,6 +292,10 @@ def _cmd_robustness(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="corechain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # the chain a command runs on: exactly one of these, checked in main
+    chain_source = argparse.ArgumentParser(add_help=False)
+    chain_source.add_argument("--profile", metavar="FILE")
+    chain_source.add_argument("--christandl", type=int, metavar="N")
 
     p = sub.add_parser("design", help="build a chain from a family or a target spectrum")
     p.add_argument("--christandl", type=int, metavar="N")
@@ -308,25 +304,25 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_design)
 
-    p = sub.add_parser("verify", help="certify mirror inversion at a given period")
-    p.add_argument("--profile", metavar="FILE")
-    p.add_argument("--christandl", type=int, metavar="N")
+    p = sub.add_parser(
+        "verify", parents=[chain_source], help="certify mirror inversion at a given period"
+    )
     p.add_argument("--tau", type=float, default=math.pi)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("evolve", help="free-evolve a state under a chain")
-    p.add_argument("--profile", metavar="FILE")
-    p.add_argument("--christandl", type=int, metavar="N")
+    p = sub.add_parser(
+        "evolve", parents=[chain_source], help="free-evolve a state under a chain"
+    )
     p.add_argument("--basis", metavar="BITS")
     p.add_argument("--state", metavar="FILE")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_evolve)
 
-    p = sub.add_parser("gate", help="build (and optionally run) a gate program")
-    p.add_argument("--profile", metavar="FILE")
-    p.add_argument("--christandl", type=int, metavar="N")
+    p = sub.add_parser(
+        "gate", parents=[chain_source], help="build (and optionally run) a gate program"
+    )
     p.add_argument("--kind", choices=["z", "w", "cat"], default="z")
     p.add_argument("--x", type=int, default=1, help="control site")
     p.add_argument("--phase", type=float, default=math.pi, help="target phase for --kind w")
@@ -357,14 +353,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--concat", action="store_true")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--program", metavar="FILE")
-    p.add_argument("--tau", type=float, default=math.pi)
+    p.add_argument("--tau", type=float, help="period of one free evolution (default pi)")
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_cost)
 
-    p = sub.add_parser("robustness", help="timing-error order fit")
-    p.add_argument("--profile", metavar="FILE")
-    p.add_argument("--christandl", type=int, metavar="N")
-    p.add_argument("--n", type=int, help="shorthand for --christandl")
+    p = sub.add_parser("robustness", parents=[chain_source], help="timing-error order fit")
+    p.add_argument("--n", type=int, dest="christandl", metavar="N", help="shorthand for --christandl")
     p.add_argument("--dts", default="1e-1,1e-2,1e-3")
     p.add_argument("--tau", type=float, default=math.pi)
     p.add_argument("--seed", type=int, default=0)
@@ -378,23 +372,19 @@ def _build_parser() -> _Parser:
 
 def _parse_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition("..")
+    if not (lo.isdecimal() and hi.isdecimal() and 1 <= int(lo) <= int(hi)):
+        raise argparse.ArgumentTypeError(f"expected A..B with 1 <= A <= B, got {text!r}")
     return int(lo), int(hi)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command in ("verify", "evolve", "gate", "robustness"):
-        if getattr(args, "n", None) is not None and args.christandl is None:
-            args.christandl = args.n
-        if (args.christandl is None) == (getattr(args, "profile", None) is None):
-            print("error: need exactly one of --christandl or --profile", file=sys.stderr)
-            return 2
+    args = _build_parser().parse_args(argv)
+    if "profile" in vars(args) and (args.christandl is None) == (args.profile is None):
+        return _fail("need exactly one of --christandl or --profile", 2)
     try:
         return args.handler(args)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -111,14 +111,10 @@ class StateVector:
     @classmethod
     def basis(cls, layout: Layout, bits: str | Sequence[int]) -> "StateVector":
         """Computational basis state from bits ordered core, ancilla, store."""
-        values = [int(b) for b in bits]
-        if len(values) != layout.total_qubits or any(b not in (0, 1) for b in values):
-            raise ValueError(f"need {layout.total_qubits} bits in {{0,1}}")
-        index = 0
-        for b in values:
-            index = (index << 1) | b
+        if len(bits) != layout.total_qubits or any(b not in (0, 1, "0", "1") for b in bits):
+            raise ValueError(f"need {layout.total_qubits} bits in {{0,1}}, got {bits!r}")
         amps = np.zeros(layout.dim, dtype=np.complex128)
-        amps[index] = 1.0
+        amps[int("".join(str(int(b)) for b in bits), 2)] = 1.0
         return cls(layout, amps)
 
     @classmethod

@@ -6,12 +6,13 @@ round-trips exactly and identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
-from .analysis import CostReport, RobustnessReport
 from .chain import CouplingProfile, MirrorCertificate, Spectrum
 from .dynamics import Layout, StateVector
 from .gates import FreeEvolve, GateProgram, Instruction, Local, Swap
@@ -77,49 +78,59 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
 # ---------------------------------------------------------------------------
 # domain objects <-> plain dicts
 
-
-def profile_to_dict(profile: CouplingProfile) -> dict:
-    return {
-        "n_sites": profile.n_sites,
-        "omegas": [float(w) for w in profile.omegas],
-        "lambdas": [float(v) for v in profile.lambdas],
-    }
+# records whose dict is their fields in declaration order
+profile_to_dict = spectrum_to_dict = layout_to_dict = asdict
+cost_report_to_dict = robustness_report_to_dict = asdict
 
 
+def certificate_to_dict(certificate: MirrorCertificate) -> dict:
+    return {**asdict(certificate), "valid": certificate.is_valid}
+
+
+def _reader(read):
+    """Refuse a malformed dict with one ValueError naming the record, not a Python internal error."""
+    kind = read.__name__.removesuffix("_from_dict")
+
+    @functools.wraps(read)
+    def checked(data):
+        try:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            return read(data)
+        except KeyError as exc:
+            raise ValueError(f"malformed {kind}: missing key {exc.args[0]!r}") from None
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"malformed {kind}: {exc}") from None
+
+    return checked
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer; a number with a fractional part is refused, not truncated."""
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+@_reader
 def profile_from_dict(data: dict) -> CouplingProfile:
-    return CouplingProfile(int(data["n_sites"]), tuple(data["omegas"]), tuple(data["lambdas"]))
+    n_sites = _integer(data["n_sites"], "n_sites")
+    return CouplingProfile(n_sites, tuple(data["omegas"]), tuple(data["lambdas"]))
 
 
-def spectrum_to_dict(spectrum: Spectrum) -> dict:
-    return {"energies": [float(e) for e in spectrum.energies]}
-
-
+@_reader
 def spectrum_from_dict(data: dict) -> Spectrum:
     return Spectrum(tuple(data["energies"]))
 
 
-def certificate_to_dict(certificate: MirrorCertificate) -> dict:
-    return {
-        "tau": certificate.tau,
-        "phi_n": certificate.phi_n,
-        "max_deviation": certificate.max_deviation,
-        "valid": certificate.is_valid,
-    }
-
-
-def layout_to_dict(layout: Layout) -> dict:
-    return {
-        "core_sites": layout.core_sites,
-        "ancilla_count": layout.ancilla_count,
-        "store_sites": layout.store_sites,
-    }
-
-
+@_reader
 def layout_from_dict(data: dict) -> Layout:
     return Layout(
-        int(data["core_sites"]),
-        int(data.get("ancilla_count", 0)),
-        int(data.get("store_sites", 0)),
+        _integer(data["core_sites"], "core_sites"),
+        _integer(data.get("ancilla_count", 0), "ancilla_count"),
+        _integer(data.get("store_sites", 0), "store_sites"),
     )
 
 
@@ -130,6 +141,7 @@ def state_to_dict(state: StateVector) -> dict:
     }
 
 
+@_reader
 def state_from_dict(data: dict) -> StateVector:
     amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
     return StateVector(layout_from_dict(data["layout"]), amps)
@@ -156,14 +168,16 @@ def instruction_to_dict(instruction: Instruction) -> dict:
     }
 
 
+@_reader
 def instruction_from_dict(data: dict) -> Instruction:
     op = data["op"]
     if op == "evolve":
         return FreeEvolve(float(data["duration"]))
     if op == "swap":
-        return Swap(int(data["core_site"]), int(data["partner"]))
+        return Swap(_integer(data["core_site"], "core_site"), _integer(data["partner"], "partner"))
     if op == "local":
-        return Local(int(data["qubit"]), _matrix_from_lists(data["matrix"]), data.get("label", ""))
+        matrix = _matrix_from_lists(data["matrix"])
+        return Local(_integer(data["qubit"], "qubit"), matrix, data.get("label", ""))
     raise ValueError(f"unknown instruction op {op!r}")
 
 
@@ -176,29 +190,14 @@ def program_to_dict(program: GateProgram) -> dict:
     }
 
 
+@_reader
 def program_from_dict(data: dict) -> GateProgram:
     return GateProgram(
         tuple(instruction_from_dict(d) for d in data["instructions"]),
         layout_from_dict(data["layout"]),
-        final_locations=tuple((int(s), int(p)) for s, p in data.get("final_locations", [])),
+        final_locations=tuple(
+            (_integer(s, "final_locations"), _integer(p, "final_locations"))
+            for s, p in data.get("final_locations", [])
+        ),
         note=data.get("note", ""),
     )
-
-
-def cost_report_to_dict(report: CostReport) -> dict:
-    return {
-        "free_evolutions": report.free_evolutions,
-        "swaps": report.swaps,
-        "local_ops": report.local_ops,
-        "switch_events": report.switch_events,
-        "core_time": report.core_time,
-        "switched_time": report.switched_time,
-    }
-
-
-def robustness_report_to_dict(report: RobustnessReport) -> dict:
-    return {
-        "delta_ts": list(report.delta_ts),
-        "errors": list(report.errors),
-        "fitted_order": report.fitted_order,
-    }

@@ -1,12 +1,38 @@
 """Command-line behavior: exit codes, file artifacts, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from corechain.cli import main
+from corechain import (
+    HADAMARD,
+    FreeEvolve,
+    GateProgram,
+    Layout,
+    Local,
+    PauliString,
+    StateVector,
+    Swap,
+    ancilla_pauli_program,
+    christandl_profile,
+    direct_pauli_program,
+    program_unitary,
+    qft_program,
+    serialize,
+    zero_phase_profile,
+)
+from corechain.cli import _data_block, main
+
+import oracles
 
 
 def run(capsys, *argv):
@@ -346,3 +372,194 @@ class TestRobustness:
         )
         assert code == 1
         assert err.strip().startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# the dense checks read only the columns they compare
+
+
+@pytest.mark.parametrize("bit_reversal", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_qft_data_block_matches_full_unitary(n, bit_reversal):
+    program = qft_program(n, include_bit_reversal=bit_reversal)
+    profile = zero_phase_profile(n) if n >= 2 else None
+    positions = [program.layout.core_position(s) for s in range(1, n + 1)]
+    expected = oracles.data_block(program_unitary(program, profile), program.layout, positions)
+    assert np.array_equal(_data_block(program, profile, positions[0], n), expected)
+
+
+@pytest.mark.parametrize(
+    "build, mask",
+    [
+        (ancilla_pauli_program, "z"),
+        (ancilla_pauli_program, "zxiy"),
+        (ancilla_pauli_program, "yiizxz"),
+        (direct_pauli_program, "x"),
+        (direct_pauli_program, "xyz"),
+        (direct_pauli_program, "zzyxzy"),
+    ],
+)
+def test_hamsim_data_block_matches_full_unitary(build, mask):
+    program = build(PauliString.from_string(mask), 0.3)
+    profile = zero_phase_profile(program.layout.core_sites)
+    positions = [program.layout.core_position(s + 1) for s in range(1, len(mask) + 1)]
+    expected = oracles.data_block(program_unitary(program, profile), program.layout, positions)
+    assert np.array_equal(_data_block(program, profile, positions[0], len(mask)), expected)
+
+
+# ---------------------------------------------------------------------------
+# the boundary: malformed files and argument probes end in one error line
+
+VALID = {
+    "profile": serialize.profile_to_dict(christandl_profile(3)),
+    "spectrum": {"energies": [0.0, 1.0, 2.0]},
+    "state": serialize.state_to_dict(StateVector.basis(Layout(3), "100")),
+    "program": serialize.program_to_dict(
+        GateProgram((FreeEvolve(math.pi), Swap(1, 3), Local(0, HADAMARD)), Layout(3, 1))
+    ),
+}
+READERS = {  # commands that read one file of each kind, which goes last
+    "profile": [
+        ["verify", "--profile"],
+        ["evolve", "--basis", "100", "--t", "1.0", "--profile"],
+        ["gate", "--kind", "z", "--run", "--profile"],
+        ["robustness", "--profile"],
+    ],
+    "spectrum": [["design", "--spectrum"]],
+    "state": [["evolve", "--christandl", "3", "--t", "1.0", "--state"]],
+    "program": [["cost", "--program"]],
+}
+JUNK = [None, True, "x", 2.5, -1, 0, 10**400, math.nan, [], {}, [1, "a"], [[1]]]
+
+
+def _paths(obj, path=()):
+    """Every key path into a parsed JSON document, the root included."""
+    yield path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def malformed_file(draw):
+    """(argv prefix, file bytes): a valid record with one key dropped or one value replaced."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    argv = draw(st.sampled_from(READERS[kind]))
+    data = copy.deepcopy(VALID[kind])
+    path = draw(st.sampled_from(list(_paths(data))))
+    text = json.dumps(draw(st.sampled_from(JUNK)))
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(JUNK))
+        text = json.dumps(data)
+    how = draw(st.sampled_from(["edit", "truncate", "bytes"]))
+    if how == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return argv, b"\xff" + text.encode() if how == "bytes" else text.encode()
+
+
+def probe_argv():
+    """Argument probes that name a wrong value, mode or range."""
+    real = st.sampled_from(["inf", "-inf", "nan", "-1", "0", "2.5", "1e308"])
+    bits = st.text("01x2", min_size=0, max_size=5)
+    return st.one_of(
+        real.map(lambda tau: ["cost", "--program", "{program}", "--tau", tau]),
+        st.tuples(st.sampled_from(["--qft", "--concat"]), real).map(
+            lambda mode_tau: ["cost", mode_tau[0], "--n-range", "2..3", "--tau", mode_tau[1]]
+        ),
+        st.tuples(st.integers(-3, 13), st.integers(-3, 13)).map(
+            lambda ab: ["cost", "--qft", "--n-range", f"{ab[0]}..{ab[1]}"]
+        ),
+        st.integers(-3, 5).map(lambda k: ["cost", "--concat", "--levels", str(k)]),
+        bits.map(lambda b: ["evolve", "--christandl", "3", "--t", "1.0", "--basis", b]),
+        bits.map(lambda b: ["gate", "--christandl", "2", "--run", "--input", b]),
+    )
+
+
+def _transcript(argv):
+    """Exit code, stdout and stderr of one in-process run; any other exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.one_of(malformed_file(), probe_argv().map(lambda argv: (argv, None))))
+def test_boundary_fails_with_one_error_line(case):
+    argv, content = case
+    with tempfile.TemporaryDirectory() as tmp:
+        program = Path(tmp) / "program.json"
+        program.write_text(json.dumps(VALID["program"]))
+        argv = [a.format(program=program) for a in argv]
+        if content is not None:
+            path = Path(tmp) / "input.json"
+            path.write_bytes(content)
+            argv = [*argv, str(path)]
+        code, _, err = _transcript(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
+ONE_SITE = '{"n_sites": 1, "omegas": [], "lambdas": [0.0]}'
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, named",
+    [
+        (["verify", "--profile"], '{"n_sites": 3, "lambdas": [1, 1, 1]}', 1, "missing key 'omegas'"),
+        (
+            ["cost", "--program"],
+            '{"layout": {"core_sites": 2, "ancilla_count": 1},'
+            ' "instructions": [{"op": "swap", "core_site": 1}]}',
+            1,
+            "missing key 'partner'",
+        ),
+        (
+            ["verify", "--profile"],
+            '{"n_sites": 2.5, "omegas": [1], "lambdas": [0, 0]}',
+            1,
+            "n_sites must be an integer, got 2.5",
+        ),
+        (["verify", "--profile"], ONE_SITE, 1, "need at least 2 sites"),
+        (["evolve", "--basis", "1", "--t", "1.0", "--profile"], ONE_SITE, 1, "need at least 2 sites"),
+        (["verify", "--profile"], "[1, 2]", 1, "expected a JSON object, got list"),
+        (["evolve", "--christandl", "2", "--t", "1.0", "--basis", "10x"], None, 1, "need 2 bits in {0,1}"),
+        (["cost", "--program", "{program}", "--tau", "inf"], None, 1, "tau must be positive and finite"),
+        (["cost", "--program", "{program}", "--tau", "0"], None, 1, "tau must be positive and finite"),
+        (["cost", "--qft", "--n-range", "2..3", "--tau", "inf"], None, 2, "--tau applies to cost --program only"),
+        (["cost", "--concat", "--tau", "1.0"], None, 2, "--tau applies to cost --program only"),
+        (["cost", "--qft", "--n-range", "5..2"], None, 2, "1 <= A <= B"),
+        (["cost", "--qft", "--n-range", "0..3"], None, 2, "1 <= A <= B"),
+        (["cost", "--qft", "--n-range", "5"], None, 2, "expected A..B"),
+        (["cost", "--qft"], None, 2, "needs --n-range"),
+        (["cost", "--concat", "--levels", "-1"], None, 2, "--levels must be nonnegative, got -1"),
+    ],
+)
+def test_boundary_names_the_problem(tmp_path, argv, content, code, named):
+    program = tmp_path / "program.json"
+    program.write_text(json.dumps(VALID["program"]))
+    argv = [a.format(program=program) for a in argv]
+    if content is not None:
+        (tmp_path / "input.json").write_text(content)
+        argv.append(str(tmp_path / "input.json"))
+    actual, out, err = _transcript(argv)
+    assert actual == code
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert named in err
