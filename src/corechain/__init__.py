@@ -43,6 +43,7 @@ from .dynamics import (
     Propagator,
     StateVector,
     apply_local,
+    evolution_overlaps,
     evolve,
     fidelity_up_to_global_phase,
     full_propagator,

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form, require_valid_profile
-from .dynamics import StateVector, evolve, fidelity_up_to_global_phase, mirror_map
+# unused here, `evolve` stays bound: benchmarks/tracing.py wraps analysis.evolve
+from .dynamics import StateVector, evolution_overlaps, evolve, mirror_map  # noqa: F401
 from .errors import InsufficientDataError, InvalidCertificateError
 from .gates import GateProgram
 
@@ -178,11 +179,7 @@ def steane_concat_cost(levels: int) -> ConcatCost:
 
 
 def timing_error(
-    profile: CouplingProfile,
-    state: StateVector,
-    tau: float,
-    phi_n: float,
-    delta_t: float,
+    profile: CouplingProfile, state: StateVector, tau: float, phi_n: float, delta_t: float
 ) -> float:
     """Infidelity 1 - |<ideal | evolved(tau + delta_t)>|^2 of one mirror period.
 
@@ -191,6 +188,11 @@ def timing_error(
     vanishes quadratically in delta_t because the leading correction is the
     energy variance of the state.
     """
+    return _timing_errors(profile, state, tau, phi_n, [delta_t])[0]
+
+
+def _timing_errors(profile, state, tau, phi_n, delta_ts) -> list[float]:
+    """`timing_error` at every delta_t, from one certificate and one mode transform."""
     certificate = mirror_certificate(profile, tau)
     if not mirror_is_closed_form(profile, certificate):
         raise InvalidCertificateError(
@@ -198,9 +200,8 @@ def timing_error(
             f"{certificate.max_deviation:.3g}, smallest coupling {min(profile.omegas):.3g}"
         )
     ideal = mirror_map(state, phi_n)
-    evolved = evolve(profile, state, tau + delta_t)
-    eps = 1.0 - fidelity_up_to_global_phase(ideal, evolved)
-    return max(0.0, float(eps))
+    overlaps = evolution_overlaps(profile, ideal, state, [tau + dt for dt in delta_ts])
+    return [max(0.0, 1.0 - float(abs(a)) ** 2) for a in overlaps]
 
 
 @dataclass(frozen=True)
@@ -211,11 +212,7 @@ class RobustnessReport:
 
 
 def robustness_fit(
-    profile: CouplingProfile,
-    state: StateVector,
-    tau: float,
-    phi_n: float,
-    delta_ts,
+    profile: CouplingProfile, state: StateVector, tau: float, phi_n: float, delta_ts
 ) -> RobustnessReport:
     """Log-log slope of the timing error over a delta_t sweep.
 
@@ -232,7 +229,7 @@ def robustness_fit(
     if max(dts) / min(dts) < 10.0 - 1e-9:
         raise ValueError("delta_t samples must span at least a decade")
 
-    errors = [timing_error(profile, state, tau, phi_n, dt) for dt in dts]
+    errors = _timing_errors(profile, state, tau, phi_n, dts)
     kept = [(dt, e) for dt, e in zip(dts, errors) if e >= 1e-14]
     if len(kept) < 3:
         raise InsufficientDataError(

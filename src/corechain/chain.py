@@ -224,6 +224,8 @@ def mirror_certificate(profile: CouplingProfile, tau: float) -> MirrorCertificat
     if not 0 < tau < math.inf:  # also refuses NaN
         raise ValueError(f"tau must be positive and finite, got {tau}")
     energies = single_excitation_matrix(profile).eigenvalues()[::-1]  # descending
+    if not math.isfinite(float(np.max(np.abs(energies))) * tau):
+        raise ValueError(f"tau={tau} overflows the mode phases E_k tau")
     phi = math.remainder(energies[0] * tau, 2.0 * math.pi)
     if phi < -math.pi + 1e-12:  # canonicalize the -pi/+pi boundary
         phi += 2.0 * math.pi

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -150,14 +151,12 @@ def _cmd_gate(args) -> int:
     n = profile.n_sites
     layout = dynamics.Layout(n, ancilla_count=1)
     tau = args.tau
-    simulate = args.run or args.kind == "cat"
-    if simulate or args.kind == "w":
-        certificate = chain.mirror_certificate(profile, tau)
-        if simulate and not certificate.is_valid:
-            raise InvalidCertificateError(
-                f"gate simulates only certified chains; none at tau={tau:.12g} "
-                f"(max_deviation={certificate.max_deviation:.3e})"
-            )
+    certificate = chain.mirror_certificate(profile, tau)  # checks the chain and tau for every kind
+    if (args.run or args.kind == "cat") and not certificate.is_valid:
+        raise InvalidCertificateError(
+            f"gate simulates only certified chains; none at tau={tau:.12g} "
+            f"(max_deviation={certificate.max_deviation:.3e})"
+        )
     if args.kind == "cat":
         # theta = phi = 0 reflections are X on every site after the control
         reflections = {site: (0.0, 0.0) for site in range(2, n + 1)}
@@ -289,6 +288,7 @@ def _cmd_robustness(args) -> int:
 # parser wiring
 
 
+@functools.lru_cache(maxsize=1)  # parse_args leaves the parser unchanged; build it once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="corechain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,18 +9,16 @@ Chain sites are addressed 1-based in the public API; `Layout` converts them
 to 0-based global qubit positions.
 
 The chain Hamiltonian only ever touches the core factor and conserves the
-number of up spins there, so free evolution is applied per Hamming-weight
-block (the largest block at the N = 12 cap is 924 x 924).  The chain is
-free fermions: nearest-neighbour hops carry no Jordan-Wigner sign, so each
-block H_w is the additive compound of the N x N single-excitation matrix J.
-Its eigensystem H_w = V diag(E) V^T therefore comes from J's alone, as
-Slater determinants (w x w minors of J's eigenvectors) with summed mode
-energies, and no block is ever diagonalized.  Any duration is applied in
-that eigenbasis, V (e^{-iEt} o V^T x), so a new duration costs two real
-matrix products and no dense propagator is built.  Where a period is
-certified on a positive-coupling chain, the same evolution is the
-closed-form mirror map, an O(2^M) gather and phase; gate programs take that
-kernel there.
+number of up spins there.  The chain is free fermions: nearest-neighbour
+hops carry no Jordan-Wigner sign, so exp(-iHt) is fixed by the N x N
+single-excitation matrix J = v diag(E) v^T alone.  v factors into N(N-1)/2
+adjacent Givens rotations and a +-1 diagonal, and each rotation on sites
+(p, p+1) acts on the register as a two-qubit gate that mixes only |10> and
+|01>.  Free evolution is that network: rotate into the mode basis, multiply
+by the phases exp(-i t sum_k E_k n_k), rotate back.  No block is ever
+diagonalized and no propagator is built.  Where a period is certified on a
+positive-coupling chain, the same evolution is the closed-form mirror map,
+an O(2^M) gather and phase; gate programs take that kernel there.
 Everything here is pure: operations return new states and never mutate
 their inputs.
 """
@@ -164,72 +162,44 @@ def _site_reversal(n_sites: int) -> np.ndarray:
     return reversal
 
 
-@lru_cache(maxsize=32)
-def _weight_blocks(n_sites: int) -> tuple[np.ndarray, ...]:
-    """Core basis indices grouped by Hamming weight, each ascending."""
-    weights = _core_weights(n_sites)
-    blocks = []
-    for w in range(n_sites + 1):
-        idx = np.nonzero(weights == w)[0]
-        idx.flags.writeable = False
-        blocks.append(idx)
-    return tuple(blocks)
-
-
 @lru_cache(maxsize=16)
 def _block_eigensystems(profile: CouplingProfile):
-    """Per-weight-block (indices, eigenvalues, eigenvectors) of the core H, from its modes.
+    """J's mode energies E and the Givens rotations that carry sites to modes.
 
-    The only eigendecomposition is J = v diag(E) v^T of the n x n
-    single-excitation (Jacobi) matrix.  A nearest-neighbour hop crosses no
-    other site, so it carries no Jordan-Wigner sign, and the weight-w block,
-    +omega_j on each hop and sum lambda_j on the diagonal, is exactly the
-    additive compound of J.  Its eigenvectors are therefore the w x w minors
-    V_w[S, T] = det v[S, T] (sites S by rows, modes T by columns, both in
-    block order) with eigenvalues sum_{k in T} E_k.  The construction is
-    exact for any real couplings, zero and negative ones included; the
-    eigenvalues come in block order, not ascending.
-
-    Each V_w is built from V_{w-1} by expanding every minor along its last
-    mode t: det v[S, T] = sum_i (-1)^(w-1-i) v[s_i, t] det v[S - s_i, T - t],
-    i.e. w signed row gathers of V_{w-1} scaled by gathered entries of v.
-    That costs sum_w w C(n, w)^2 multiply-adds instead of sum_w C(n, w)^3.
+    J = v diag(E) v^T is the only eigendecomposition.  Rotations R_i on rows
+    (p, p+1) zero v column by column, last column first and top down, until
+    R_m ... R_1 v = D is a +-1 diagonal.  Top down keeps most rotations on
+    the leading sites, where the kernel's rows are longest; one with nothing
+    to zero (a decoupled chain) is left out.  D never appears: it commutes
+    with the mode phases and squares to one.  Named for the cache counters.
     """
     n = profile.n_sites
     energies, modes = np.linalg.eigh(single_excitation_matrix(profile).to_dense())
-    table = _core_bits(n)
-    blocks = _weight_blocks(n)
-    evecs = np.ones((1, 1))
-    systems = []
-    for w, idx in enumerate(blocks):
-        bits = table[idx]
-        if w:
-            occupied = np.nonzero(bits)[1].reshape(idx.size, w)  # ascending sites/modes
-            # rank in the weight-(w-1) block of each state with one of its entries removed
-            minus = np.searchsorted(blocks[w - 1], idx[:, None] ^ (1 << (n - 1 - occupied)))
-            cols = evecs[:, minus[:, -1]]  # V_{w-1}[S', T - t]
-            top = modes[:, occupied[:, -1]]  # v[s, t]
-            evecs = np.zeros((idx.size, idx.size))
-            for i in range(w):
-                term = cols[minus[:, i]]
-                term *= top[occupied[:, i]]
-                if (w - 1 - i) % 2:
-                    evecs -= term
-                else:
-                    evecs += term
-        evals = bits @ energies
-        evals.flags.writeable = False
-        evecs.flags.writeable = False
-        systems.append((idx, evals, evecs))
-    return tuple(systems)
+    rotations = []
+    for col in range(n - 1, 0, -1):
+        for p in range(col):
+            a, b = modes[p, col], modes[p + 1, col]
+            rho = math.hypot(a, b)
+            if rho == 0.0:
+                continue
+            r = np.array([[b, -a], [a, b]]) / rho  # zeroes modes[p, col]
+            modes[p : p + 2] = r @ modes[p : p + 2]
+            r.flags.writeable = False
+            rotations.append((p, r.T))  # r.T is r on the (site p+1, site p) rows
+    energies.flags.writeable = False
+    return energies, tuple(rotations)
 
 
 @lru_cache(maxsize=64)
 def _block_propagators(profile: CouplingProfile, t: float):
-    # dense blocks for full_propagator only; the benchmark reads this cache's counters
+    # dense blocks for full_propagator only, one weight's identity columns at a time;
+    # the benchmark reads this cache's counters
+    weights = _core_weights(profile.n_sites)
     props = []
-    for idx, evals, evecs in _block_eigensystems(profile):
-        u = (evecs * np.exp(-1j * evals * t)) @ evecs.conj().T
+    for w in range(profile.n_sites + 1):
+        idx = np.flatnonzero(weights == w)
+        identity = (np.arange(weights.size)[:, None] == idx).astype(np.complex128)
+        u = _evolve_raw(profile, t, identity)[idx]
         u.flags.writeable = False
         props.append((idx, u))
     return tuple(props)
@@ -239,19 +209,26 @@ def _block_propagators(profile: CouplingProfile, t: float):
 # raw array primitives (first axis = 2^M state index, second axis = batch)
 
 
-def _evolve_raw(profile: CouplingProfile, t: float, arr: np.ndarray) -> np.ndarray:
-    """exp(-i H t) on the core factor, applied per block as V (e^{-iEt} o V^T x).
+def _rotate(arr: np.ndarray, n_core: int, rotations, back: bool = False) -> None:
+    """The Givens network, in place on a C-contiguous complex array; `back` undoes it.
 
-    V is real, so both products are real GEMMs on the interleaved (re, im)
-    float64 view of the complex block; no propagator is built.
+    Each rotation is one 2x2 real product on the (|01>, |10>) rows of sites
+    (p, p+1), on the float64 view; |00> and |11> (determinant one) stay.
     """
+    flat = arr.reshape(1 << n_core, -1).view(np.float64)
+    for p, g in reversed(rotations) if back else rotations:
+        pair = flat.reshape(1 << p, 4, -1)[:, 1:3]
+        pair[...] = (g.T if back else g) @ pair
+
+
+def _evolve_raw(profile: CouplingProfile, t: float, arr: np.ndarray) -> np.ndarray:
+    """exp(-i H t) on the core factor: into the mode basis, phase, and back."""
+    energies, rotations = _block_eigensystems(profile)
     n_core = profile.n_sites
-    rest = arr.shape[0] >> n_core
-    out = arr.reshape(1 << n_core, rest * arr.shape[1]).copy()
-    for idx, evals, evecs in _block_eigensystems(profile):
-        coeffs = (evecs.T @ out[idx].view(np.float64)).view(np.complex128)
-        coeffs *= np.exp(-1j * evals * float(t))[:, None]
-        out[idx] = (evecs @ coeffs.view(np.float64)).view(np.complex128)
+    out = arr.reshape(1 << n_core, -1).copy()
+    _rotate(out, n_core, rotations)
+    out *= np.exp(-1j * float(t) * (_core_bits(n_core) @ energies))[:, None]
+    _rotate(out, n_core, rotations, back=True)
     return out.reshape(arr.shape)
 
 
@@ -266,7 +243,7 @@ def _mirror_raw(arr: np.ndarray, n_sites: int, phases: np.ndarray) -> np.ndarray
     """Closed-form mirror inversion: gather the site-reversed core index, then phase it.
 
     The reversal is an involution that keeps the weight, so the gather and
-    the phase table share one index.  Costs O(2^M); no eigensystem.
+    the phase table share one index.  Costs O(2^M); no rotations.
     """
     out = arr.reshape(1 << n_sites, -1)[_site_reversal(n_sites)]
     out *= phases[:, None]  # in place: the gather already made the copy
@@ -305,16 +282,38 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # public operations
 
 
+def _check_evolution(profile: CouplingProfile, layout: Layout, times) -> None:
+    if profile.n_sites != layout.core_sites:
+        raise ValueError(f"profile has {profile.n_sites} sites but layout has {layout.core_sites}")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"evolution time must be finite, got {times}")
+
+
 def evolve(profile: CouplingProfile, state: StateVector, t: float) -> StateVector:
     """Apply exp(-i H t) to the core factor; ancilla and store are untouched."""
-    if profile.n_sites != state.layout.core_sites:
-        raise ValueError(
-            f"profile has {profile.n_sites} sites but layout has {state.layout.core_sites}"
-        )
-    if not math.isfinite(t):
-        raise ValueError(f"evolution time must be finite, got {t}")
+    _check_evolution(profile, state.layout, t)
     amps = _evolve_raw(profile, t, state.amplitudes[:, None])
     return StateVector(state.layout, amps[:, 0])
+
+
+def evolution_overlaps(
+    profile: CouplingProfile, bra: StateVector, ket: StateVector, times: Sequence[float]
+) -> np.ndarray:
+    """<bra| exp(-i H t) |ket> for every t in `times`.
+
+    Both states go into the mode basis in one forward pass of the network;
+    each t then costs one phase table and a dot product.
+    """
+    if bra.layout != ket.layout:
+        raise ValueError("states live on different layouts")
+    times = np.asarray(times, dtype=float)
+    _check_evolution(profile, ket.layout, times)
+    energies, rotations = _block_eigensystems(profile)
+    n_core = profile.n_sites
+    modes = np.stack([bra.amplitudes, ket.amplitudes], axis=1)
+    _rotate(modes, n_core, rotations)
+    weights = (modes[:, 0].conj() * modes[:, 1]).reshape(1 << n_core, -1).sum(axis=1)
+    return np.exp(-1j * np.multiply.outer(times, _core_bits(n_core) @ energies)) @ weights
 
 
 @dataclass(frozen=True)
@@ -326,7 +325,7 @@ class Propagator:
 
 
 def full_propagator(profile: CouplingProfile, t: float) -> Propagator:
-    """Assemble the dense core propagator from the per-block eigensystems."""
+    """Assemble the dense core propagator, one Hamming-weight block at a time."""
     if profile.n_sites > MAX_DENSE_CORE:
         raise SizeLimitError(
             f"dense propagator capped at {MAX_DENSE_CORE} sites, got {profile.n_sites}"

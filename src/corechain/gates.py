@@ -135,7 +135,7 @@ _Step = Callable[[np.ndarray], np.ndarray]
 
 
 def _evolve_step(profile: CouplingProfile, duration: float, n_sites: int) -> _Step:
-    """The closed-form mirror where it is exact, else the block eigensystems."""
+    """The closed-form mirror where it is exact, else the Givens network over the modes."""
     if profile.n_sites != n_sites:
         raise ValueError("profile does not match the program layout")
     if duration > 0:

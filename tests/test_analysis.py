@@ -31,6 +31,7 @@ from corechain import (
     Spectrum,
 )
 
+import oracles
 
 
 class TestCostOfProgram:
@@ -245,3 +246,21 @@ class TestRobustnessFit:
         state = random_state(Layout(4), seed=1)
         with pytest.raises(ValueError, match=f"delta_t samples must be positive, finite.* got {bad}"):
             robustness_fit(profile, state, math.pi, 0.0, [1e-1, bad, 1e-3])
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_errors_match_dense_oracle(self, n):
+        # odd gaps certify the chain at pi, with a non-zero mirror phase and non-uniform fields
+        rng = np.random.default_rng(n)
+        energies = rng.uniform(-3.0, 3.0) + np.concatenate([[0], np.cumsum(rng.choice([1, 3], n - 1))])
+        profile = reconstruct_profile(Spectrum(tuple(energies)))
+        cert = mirror_certificate(profile, math.pi)
+        assert cert.is_valid
+        state = random_state(Layout(n), seed=n)
+        dts = [1e-1, 3e-2, 1e-2, 1e-3]
+        report = robustness_fit(profile, state, math.pi, cert.phi_n, dts)
+        image = mirror_map(state, cert.phi_n).amplitudes
+        expected = [
+            1.0 - abs(np.vdot(image, oracles.dense_propagator(profile, math.pi + dt) @ state.amplitudes)) ** 2
+            for dt in dts
+        ]
+        np.testing.assert_allclose(report.errors, expected, rtol=1e-9, atol=1e-14)

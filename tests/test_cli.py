@@ -76,8 +76,9 @@ def test_nonfinite_input_exits_one(capsys, tmp_path, argv, text, named):
         ("design --christandl 4 --tau inf", "tau must be positive and finite, got inf"),
         ("robustness --n 4 --tau inf", "tau must be positive and finite, got inf"),
         ("robustness --n 4 --dts 0.1,nan,0.001", "delta_t samples must be positive, finite"),
+        ("verify --christandl 4 --tau 1e308", "tau=1e+308 overflows the mode phases"),
     ],
-    ids=["verify-tau", "design-tau", "robustness-tau", "robustness-dts"],
+    ids=["verify-tau", "design-tau", "robustness-tau", "robustness-dts", "verify-tau-overflow"],
 )
 def test_nonfinite_argument_exits_one(capsys, argv, named):
     code, out, err = run(capsys, *argv.split())
@@ -215,6 +216,37 @@ class TestGate:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out_file.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["--christandl", "3", "--tau", "-1"], "tau must be positive and finite, got -1.0"),
+            (["--christandl", "3", "--tau", "nan"], "tau must be positive and finite, got nan"),
+            (["--profile", "{skewed}"], "mirror-symmetry residuals"),
+        ],
+        ids=["negative-tau", "nan-tau", "skewed-profile"],
+    )
+    def test_z_program_checks_tau_and_chain(self, capsys, tmp_path, argv, named):
+        # without --run nothing is simulated, but the program still names the chain's period
+        skewed = tmp_path / "skewed.json"
+        skewed.write_text('{"n_sites": 3, "omegas": [1, 2], "lambdas": [0, 0, 0]}')
+        out_file = tmp_path / "z.json"
+        args = [a.format(skewed=skewed) for a in argv]
+        code, out, err = run(capsys, "gate", *args, "--kind", "z", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert named in err
+        assert not out_file.exists()
+
+    def test_z_program_off_period_is_written(self, capsys, tmp_path):
+        # an uncertified tau is refused only when the program is simulated
+        out_file = tmp_path / "z.json"
+        code, _, _ = run(
+            capsys, "gate", "--christandl", "3", "--kind", "z", "--tau", "1.0", "--out", str(out_file)
+        )
+        assert code == 0
+        assert json.loads(out_file.read_text())["instructions"][0]["duration"] == 1.0
 
     def test_w_program_on_even_chain(self, capsys, tmp_path):
         # the pi-phase chain exercises the correction path end to end
@@ -483,6 +515,9 @@ def probe_argv():
         st.integers(-3, 5).map(lambda k: ["cost", "--concat", "--levels", str(k)]),
         bits.map(lambda b: ["evolve", "--christandl", "3", "--t", "1.0", "--basis", b]),
         bits.map(lambda b: ["gate", "--christandl", "2", "--run", "--input", b]),
+        st.tuples(st.sampled_from(["z", "w"]), real).map(
+            lambda kind_tau: ["gate", "--christandl", "3", "--kind", kind_tau[0], "--tau", kind_tau[1]]
+        ),
     )
 
 

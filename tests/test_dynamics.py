@@ -12,6 +12,8 @@ from numpy.testing import assert_allclose
 
 from corechain import (
     CouplingProfile,
+    FreeEvolve,
+    GateProgram,
     InvalidProfileError,
     Spectrum,
     Layout,
@@ -23,6 +25,7 @@ from corechain import (
     fidelity_up_to_global_phase,
     full_propagator,
     mirror_map,
+    program_unitary,
     random_state,
     reconstruct_profile,
     swap_qubits,
@@ -340,7 +343,7 @@ class TestCoreTables:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_block_eigensystems_bit_identical(self, n):
-        # the Slater eigenbasis diagonalizes each block H_w built site by site
+        # the back-rotated mode basis diagonalizes each block H_w built site by site
         energies = np.sort(np.random.default_rng(n).uniform(-4.0, 4.0, n))
         recon = reconstruct_profile(Spectrum(tuple(energies)))
         open_ends = list(christandl_profile(n).omegas)
@@ -351,8 +354,18 @@ class TestCoreTables:
             CouplingProfile(n, tuple(-w for w in recon.omegas), recon.lambdas),
             CouplingProfile(n, tuple(open_ends), recon.lambdas),
         )
+        weights = dynamics._core_weights(n)
+        table = dynamics._core_bits(n)
         for profile in profiles:
-            for idx, evals, evecs in dynamics._block_eigensystems(profile):
+            mode_energies, rotations = dynamics._block_eigensystems(profile)
+            for w in range(n + 1):
+                idx = np.flatnonzero(weights == w)
+                columns = np.zeros((1 << n, idx.size), dtype=np.complex128)
+                columns[idx, np.arange(idx.size)] = 1.0
+                dynamics._rotate(columns, n, rotations, back=True)
+                assert np.all(columns.imag == 0) and np.all(np.delete(columns, idx, axis=0) == 0)
+                evecs = columns[idx].real
+                evals = table[idx] @ mode_energies
                 h = np.zeros((idx.size, idx.size))
                 position = {int(s): k for k, s in enumerate(idx)}
                 for k, s in enumerate(idx.tolist()):
@@ -390,6 +403,11 @@ def mirror_profiles(draw):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_evolve_matches_dense_propagator_on_signed_chains(profile, t, seed):
-    state = random_state(Layout(profile.n_sites), seed=seed)
-    expected = oracles.dense_propagator(profile, t) @ state.amplitudes
-    assert np.max(np.abs(evolve(profile, state, t).amplitudes - expected)) <= 1e-12
+    # zero couplings decouple the chain and leave Givens rotations with nothing to zero;
+    # program_unitary runs the same evolution off-period on every column
+    layout = Layout(profile.n_sites, 1, 1)
+    expected = np.kron(oracles.dense_propagator(profile, t), np.eye(4))
+    state = random_state(layout, seed=seed)
+    assert np.max(np.abs(evolve(profile, state, t).amplitudes - expected @ state.amplitudes)) <= 1e-12
+    columns = program_unitary(GateProgram((FreeEvolve(t),), layout), profile)
+    assert np.max(np.abs(columns - expected)) <= 1e-12
