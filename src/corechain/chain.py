@@ -20,10 +20,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidProfileError, ReconstructionInfeasibleError
+from .errors import (
+    IllConditionedError,
+    InvalidProfileError,
+    ReconstructionInfeasibleError,
+    SizeLimitError,
+)
 
 MIRROR_TOL = 1e-12
 CERTIFICATE_TOL = 1e-9
+# design and certification solve a dense N x N eigenproblem: about 0.1 s at the cap
+MAX_CHAIN_SITES = 1024
 
 
 @dataclass(frozen=True)
@@ -147,6 +154,7 @@ def christandl_profile(n_sites: int) -> CouplingProfile:
     """
     if n_sites < 2:
         raise ValueError(f"need at least 2 sites, got {n_sites}")
+    _check_site_count(n_sites)
     n = n_sites
     omegas = tuple(math.sqrt(j * (n - j)) / 2.0 for j in range(1, n))
     lambdas = ((n - 1) / 2.0,) * n
@@ -190,6 +198,11 @@ def _nonfinite_sites(values: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) + 1 for j in np.nonzero(~np.isfinite(values))[0])
 
 
+def _check_site_count(n_sites: int) -> None:
+    if n_sites > MAX_CHAIN_SITES:
+        raise SizeLimitError(f"{n_sites} sites exceeds the chain cap of {MAX_CHAIN_SITES}")
+
+
 def require_valid_profile(profile: CouplingProfile) -> None:
     """Reject structurally broken profiles: lengths, non-finite entries, mirror symmetry.
 
@@ -206,7 +219,9 @@ def single_excitation_matrix(profile: CouplingProfile) -> JacobiMatrix:
     """Restriction of the chain Hamiltonian to Hamming-weight-1 states.
 
     Diagonal lambda_j, off-diagonal omega_j, sites ordered by index.
+    Raises :class:`SizeLimitError` above ``MAX_CHAIN_SITES`` sites.
     """
+    _check_site_count(profile.n_sites)
     require_valid_profile(profile)
     return JacobiMatrix(profile.lambdas, profile.omegas)
 
@@ -262,6 +277,7 @@ def reconstruct_profile(spectrum: Spectrum) -> CouplingProfile:
     n = energies.size
     if n < 2:
         raise ValueError(f"need at least 2 energies, got {n}")
+    _check_site_count(n)
     nonfinite = _nonfinite_sites(energies)
     if nonfinite:
         raise ReconstructionInfeasibleError(

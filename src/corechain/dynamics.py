@@ -21,6 +21,19 @@ positive-coupling chain, the same evolution is the closed-form mirror map,
 an O(2^M) gather and phase; gate programs take that kernel there.
 Everything here is pure: operations return new states and never mutate
 their inputs.
+
+Kernels
+-------
+The `_*_raw` functions are the kernel layer that public operations and
+lowered gate programs (:func:`corechain.gates._plan`) run on.  Each takes the
+amplitudes as a C-contiguous (2^M, columns) array and returns a new one.
+`_locals_raw` applies a run of single-qubit unitaries on distinct qubits as
+two-row passes.  A qubit near the end of the register has rows of only 1 or
+2 amplitudes on one column, so such qubits run on the transposed array,
+where their rows are long; `apply_local` is the one-entry run.
+`_mirror_raw` gathers the site-reversed core index with `np.take` and
+multiplies the phases along the longer axis.  Neither calls BLAS, so a
+wide batch of columns never meets a multi-threaded product there.
 """
 
 from __future__ import annotations
@@ -33,12 +46,15 @@ from typing import Sequence
 import numpy as np
 
 from .chain import CouplingProfile, single_excitation_matrix
-from .errors import SizeLimitError
+from .errors import InvalidStateError, NonFiniteTimeError, NonUnitaryError, SizeLimitError
 
 MAX_TOTAL_QUBITS = 16
 MAX_DENSE_CORE = 12
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
+# amplitudes per block of an in-place local pass: its two scratch rows stay at 256 KB each,
+# below the half-array temporary of an out-of-place pass on a wide batch of columns
+_PASS_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,10 +115,12 @@ class StateVector:
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=np.complex128)
         if amps.shape != (self.layout.dim,):
-            raise ValueError(f"expected {self.layout.dim} amplitudes, got shape {amps.shape}")
+            raise InvalidStateError(
+                f"expected {self.layout.dim} amplitudes, got shape {amps.shape}"
+            )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= NORM_TOL:  # also refuses a NaN norm
-            raise ValueError(f"state is not normalized (|norm - 1| = {abs(norm - 1.0):.3g})")
+            raise InvalidStateError(f"state is not normalized (|norm - 1| = {abs(norm - 1.0):.3g})")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -243,15 +261,22 @@ def _mirror_raw(arr: np.ndarray, n_sites: int, phases: np.ndarray) -> np.ndarray
     """Closed-form mirror inversion: gather the site-reversed core index, then phase it.
 
     The reversal is an involution that keeps the weight, so the gather and
-    the phase table share one index.  Costs O(2^M); no rotations.
+    the phase table share one index.  Costs O(2^M); no rotations.  The
+    phases multiply in place along the longer axis: column by column while
+    the core axis is the longer one (one amplitude column has 2^(M-N)
+    entries per core index), else as one broadcast over the rows.
     """
-    out = arr.reshape(1 << n_sites, -1)[_site_reversal(n_sites)]
-    out *= phases[:, None]  # in place: the gather already made the copy
+    out = np.take(arr.reshape(1 << n_sites, -1), _site_reversal(n_sites), axis=0)
+    if out.shape[1] < out.shape[0]:
+        for column in out.T:
+            column *= phases
+    else:
+        out *= phases[:, None]
     return out.reshape(arr.shape)
 
 
 def _local_raw(arr: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    """Two-row kernel for a 2x2 unitary; a diagonal one only scales each row."""
+    """Two-row pass of a 2x2 unitary on the (2^qubit, 2, rest) view; a diagonal one scales rows."""
     view = arr.reshape(1 << qubit, 2, -1)
     if u[0, 1] == 0 and u[1, 0] == 0:
         return (view * np.diagonal(u)[:, None]).reshape(arr.shape)
@@ -260,6 +285,65 @@ def _local_raw(arr: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
     for row in (0, 1):  # each row built in place: one half-size temporary at a time
         np.multiply(top, u[row, 0], out=out[:, row])
         out[:, row] += u[row, 1] * bottom
+    return out.reshape(arr.shape)
+
+
+def _local_in_place(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) -> None:
+    """`_local_raw` written back into `arr`: the same products and sums, block by block.
+
+    `scratch` holds two rows (the new bottom row and one product) of
+    min(size / 2, _PASS_BLOCK) amplitudes, so a pass needs no temporary the
+    size of the array.
+    """
+    view = arr.reshape(1 << qubit, 2, -1)
+    if u[0, 1] == 0 and u[1, 0] == 0:
+        view *= np.diagonal(u)[:, None]
+        return
+    lead, _, rest = view.shape
+    width, height = min(rest, _PASS_BLOCK), max(1, _PASS_BLOCK // rest)
+    for i in range(0, lead, height):
+        for j in range(0, rest, width):
+            top = view[i : i + height, 0, j : j + width]
+            bottom = view[i : i + height, 1, j : j + width]
+            new_bottom, product = (row[: top.size].reshape(top.shape) for row in scratch)
+            np.multiply(top, u[1, 0], out=new_bottom)
+            np.multiply(u[1, 1], bottom, out=product)
+            new_bottom += product
+            top *= u[0, 0]
+            np.multiply(u[0, 1], bottom, out=product)
+            top += product
+            bottom[...] = new_bottom
+
+
+def _locals_raw(arr: np.ndarray, run: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """A run of 2x2 unitaries on distinct qubits, applied in order as two-row passes.
+
+    Qubit q's pass has a leading axis of 2^q and a trailing axis of
+    size / 2^(q+1).  From qubit `cut` (half the bits of the size) on, the
+    trailing axis is the shorter one (1 or 2 for the last qubits of one
+    column), so those qubits run on the transposed (2^cut, rest) copy
+    instead: there q sits at q - cut and its trailing axis is 2^cut times
+    longer.  The first pass writes a new array and the others write into it,
+    so a run holds its input, one array and the scratch rows; a second full
+    array made the allocator trim and re-fault its heap on every run of a
+    wide column batch.  Transposes only move amplitudes, so the result is
+    the sequence of `_local_raw` passes bit for bit.
+    """
+    cut = arr.size.bit_length() // 2
+    out, leading, scratch = arr, True, None  # leading: the amplitudes in their own order
+    for qubit, u in run:
+        if (qubit < cut) != leading:
+            out = (out.reshape(1 << cut, -1) if leading else out.reshape(-1, 1 << cut)).T.copy()
+            leading = not leading
+        position = qubit if leading else qubit - cut
+        if out is arr:  # never written: the caller still holds it
+            out = _local_raw(out, position, u)
+            continue
+        if scratch is None:
+            scratch = np.empty((2, min(arr.size // 2, _PASS_BLOCK)), dtype=arr.dtype)
+        _local_in_place(out, position, u, scratch)
+    if not leading:
+        out = out.reshape(-1, 1 << cut).T.copy()
     return out.reshape(arr.shape)
 
 
@@ -272,9 +356,9 @@ def _swap_raw(arr: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
 def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {u.shape}")
+        raise NonUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL:  # also refuses NaN
-        raise ValueError("matrix is not unitary")
+        raise NonUnitaryError("matrix is not unitary")
     return u
 
 
@@ -286,7 +370,7 @@ def _check_evolution(profile: CouplingProfile, layout: Layout, times) -> None:
     if profile.n_sites != layout.core_sites:
         raise ValueError(f"profile has {profile.n_sites} sites but layout has {layout.core_sites}")
     if not np.all(np.isfinite(times)):
-        raise ValueError(f"evolution time must be finite, got {times}")
+        raise NonFiniteTimeError(f"evolution time must be finite, got {times}")
 
 
 def evolve(profile: CouplingProfile, state: StateVector, t: float) -> StateVector:
@@ -355,7 +439,7 @@ def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     u = _check_unitary(u)
     if not 0 <= qubit < state.layout.total_qubits:
         raise ValueError(f"qubit {qubit} outside 0..{state.layout.total_qubits - 1}")
-    amps = _local_raw(state.amplitudes[:, None], qubit, u)
+    amps = _locals_raw(state.amplitudes[:, None], ((qubit, u),))
     return StateVector(state.layout, amps[:, 0])
 
 

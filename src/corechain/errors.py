@@ -34,3 +34,19 @@ class InvalidCertificateError(ValueError):
 
 class InsufficientDataError(ValueError):
     """A fit was requested with too few usable samples."""
+
+
+class InvalidStateError(ValueError):
+    """An amplitude vector does not fit its layout or is not normalized (a NaN norm included)."""
+
+
+class NonUnitaryError(ValueError):
+    """A single-qubit operator is not a 2x2 unitary."""
+
+
+class NonFiniteTimeError(ValueError):
+    """An evolution time is NaN or infinite."""
+
+
+class InvalidInstructionError(ValueError):
+    """A program instruction addresses a qubit outside its layout, or swaps a site with itself."""

@@ -28,6 +28,7 @@ import numpy as np
 from . import dynamics
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
 from .dynamics import Layout, StateVector, _check_unitary, apply_local
+from .errors import InvalidInstructionError, NonFiniteTimeError
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -53,7 +54,7 @@ class FreeEvolve:
 
     def __post_init__(self):
         if not math.isfinite(self.duration):
-            raise ValueError(f"evolution time must be finite, got {self.duration}")
+            raise NonFiniteTimeError(f"evolution time must be finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -103,12 +104,14 @@ class GateProgram:
                 and 0 <= op.partner < total
                 and op.partner != layout.core_position(op.core_site)
             ):
-                raise ValueError(
+                raise InvalidInstructionError(
                     f"instruction {k}: swap needs a core site in 1..{layout.core_sites} "
                     f"and another position in 0..{total - 1}, got {op}"
                 )
             if isinstance(op, Local) and not 0 <= op.qubit < total:
-                raise ValueError(f"instruction {k}: local qubit {op.qubit} outside 0..{total - 1}")
+                raise InvalidInstructionError(
+                    f"instruction {k}: local qubit {op.qubit} outside 0..{total - 1}"
+                )
 
     def location_map(self) -> dict[int, int]:
         return dict(self.final_locations)
@@ -146,12 +149,12 @@ def _evolve_step(profile: CouplingProfile, duration: float, n_sites: int) -> _St
     return partial(dynamics._evolve_raw, profile, duration)
 
 
-def _fused_locals(run: Iterable[Local]) -> list[_Step]:
-    """One 2x2 per qubit for a run of Locals; Locals on different qubits commute."""
+def _fused_locals(run: Iterable[Local]) -> _Step:
+    """One step for a run of Locals: one 2x2 per qubit, since Locals on different qubits commute."""
     fused: dict[int, np.ndarray] = {}
     for op in run:
         fused[op.qubit] = op.matrix @ fused[op.qubit] if op.qubit in fused else op.matrix
-    return [partial(dynamics._local_raw, qubit=q, u=m) for q, m in fused.items()]
+    return partial(dynamics._locals_raw, run=tuple(fused.items()))
 
 
 @lru_cache(maxsize=64)
@@ -162,7 +165,7 @@ def _plan(program: GateProgram, profile: CouplingProfile) -> tuple[_Step, ...]:
     evolutions: dict[float, _Step] = {}  # one certificate and phase table per duration
     for is_local, run in groupby(program.instructions, key=lambda op: isinstance(op, Local)):
         if is_local:
-            steps += _fused_locals(run)
+            steps.append(_fused_locals(run))
             continue
         for op in run:
             if isinstance(op, FreeEvolve):

@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -18,30 +19,57 @@ from .dynamics import Layout, StateVector
 from .gates import FreeEvolve, GateProgram, Instruction, Local, Swap
 
 
+# "%.17g" % x is format(x, ".17g") without a Python frame per float
+_FLOAT_17G = "%.17g".__mod__
+
+
 def format_float(x: float) -> str:
-    return format(float(x), ".17g")
+    return _FLOAT_17G(float(x))
+
+
+# the exact scalar types, each rendered by one call; json.dumps of a str is
+# encode_basestring_ascii
+_SCALARS = {
+    float: _FLOAT_17G,
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+}
 
 
 def dumps(obj: Any, indent: int = 0) -> str:
-    """Render JSON with fixed float formatting; dict order is preserved."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    """Render JSON with fixed float formatting; dict order is preserved.
+
+    A list goes on one line when no entry spans lines and the entries total
+    fewer than 72 characters.  Scalar entries are rendered in place, not by
+    a call of `dumps` each.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rendered = [
+            r(v) if (r := _SCALARS.get(type(v))) is not None else dumps(v, indent + 2) for v in obj
+        ]
+        line = ", ".join(rendered)
+        if len(line) - 2 * (len(rendered) - 1) < 72 and "\n" not in line:
+            return "[" + line + "]"
+        inner = " " * (indent + 2)
+        return "[\n" + ",\n".join([inner + r for r in rendered]) + "\n" + " " * indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {dumps(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        rendered = [dumps(v, indent + 2) for v in seq]
-        if all("\n" not in r for r in rendered) and sum(len(r) for r in rendered) < 72:
-            return "[" + ", ".join(rendered) + "]"
-        return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+        inner = " " * (indent + 2)
+        items = [
+            f"{inner}{encode_basestring_ascii(str(k))}: "
+            + (r(v) if (r := _SCALARS.get(type(v))) is not None else dumps(v, indent + 2))
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    if isinstance(obj, (int, np.integer)):  # int subclasses and numpy scalars
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)

@@ -12,6 +12,7 @@ from corechain import (
     IllConditionedError,
     InvalidProfileError,
     ReconstructionInfeasibleError,
+    SizeLimitError,
     Spectrum,
     christandl_profile,
     mirror_certificate,
@@ -20,6 +21,8 @@ from corechain import (
     validate_profile,
     zero_phase_profile,
 )
+
+from corechain.chain import MAX_CHAIN_SITES
 
 import oracles
 
@@ -229,3 +232,15 @@ class TestReconstruction:
         with pytest.raises(IllConditionedError) as err:
             reconstruct_profile(Spectrum((0.0, 1.0, 2.0, 1e200)))
         assert 1 <= err.value.index <= 3
+
+
+def test_chains_above_the_site_cap_are_refused_before_any_dense_solve():
+    n = MAX_CHAIN_SITES + 1
+    with pytest.raises(SizeLimitError, match=f"{n} sites exceeds the chain cap"):
+        christandl_profile(n)
+    with pytest.raises(SizeLimitError, match=f"{n} sites exceeds the chain cap"):
+        reconstruct_profile(Spectrum(tuple(float(k) for k in range(n))))
+    oversized = CouplingProfile(10**9, (1.0,), (0.0, 0.0))  # never expanded to 10^9 entries
+    with pytest.raises(SizeLimitError, match="1000000000 sites exceeds the chain cap"):
+        mirror_certificate(oversized, math.pi)
+    assert christandl_profile(MAX_CHAIN_SITES).n_sites == MAX_CHAIN_SITES

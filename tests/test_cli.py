@@ -30,6 +30,7 @@ from corechain import (
     serialize,
     zero_phase_profile,
 )
+from corechain.chain import MAX_CHAIN_SITES
 from corechain.cli import _data_block, main
 
 import oracles
@@ -518,6 +519,10 @@ def probe_argv():
         st.tuples(st.sampled_from(["z", "w"]), real).map(
             lambda kind_tau: ["gate", "--christandl", "3", "--kind", kind_tau[0], "--tau", kind_tau[1]]
         ),
+        # oversized chains are refused before anything N x N is allocated
+        st.tuples(st.sampled_from(["design", "verify"]), st.integers(MAX_CHAIN_SITES + 1, 10**15)).map(
+            lambda command_n: [command_n[0], "--christandl", str(command_n[1])]
+        ),
     )
 
 
@@ -584,6 +589,20 @@ ONE_SITE = '{"n_sites": 1, "omegas": [], "lambdas": [0.0]}'
         (["cost", "--qft", "--n-range", "5"], None, 2, "expected A..B"),
         (["cost", "--qft"], None, 2, "needs --n-range"),
         (["cost", "--concat", "--levels", "-1"], None, 2, "--levels must be nonnegative, got -1"),
+        (["design", "--christandl", "100000"], None, 1, "100000 sites exceeds the chain cap of 1024"),
+        (["verify", "--christandl", "1025"], None, 1, "1025 sites exceeds the chain cap of 1024"),
+        (
+            ["design", "--spectrum"],
+            json.dumps({"energies": list(range(MAX_CHAIN_SITES + 1))}),
+            1,
+            "1025 sites exceeds the chain cap of 1024",
+        ),
+        (
+            ["verify", "--profile"],
+            json.dumps({"n_sites": 2000, "omegas": [1.0] * 1999, "lambdas": [0.0] * 2000}),
+            1,
+            "2000 sites exceeds the chain cap of 1024",
+        ),
     ],
 )
 def test_boundary_names_the_problem(tmp_path, argv, content, code, named):

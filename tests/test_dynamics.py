@@ -15,6 +15,9 @@ from corechain import (
     FreeEvolve,
     GateProgram,
     InvalidProfileError,
+    InvalidStateError,
+    NonFiniteTimeError,
+    NonUnitaryError,
     Spectrum,
     Layout,
     SizeLimitError,
@@ -67,13 +70,27 @@ def test_layout_cap():
 
 def test_statevector_rejects_unnormalized():
     layout = Layout(2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidStateError):
         StateVector(layout, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_statevector_rejects_nan():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidStateError):
         StateVector(Layout(2), np.array([math.nan, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("amplitudes", [[1.0, 0.0, 0.0], [math.inf, 0.0, 0.0, 0.0]], ids=["short", "inf"])
+def test_statevector_refusals_are_named(amplitudes):
+    with pytest.raises(InvalidStateError):
+        StateVector(Layout(2), np.array(amplitudes))
+    assert issubclass(InvalidStateError, ValueError)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_nonfinite_evolution_time_is_named(t):
+    with pytest.raises(NonFiniteTimeError):
+        evolve(christandl_profile(3), StateVector.zero(Layout(3)), t)
+    assert issubclass(NonFiniteTimeError, ValueError)
 
 
 def test_basis_reads_left_to_right():
@@ -265,6 +282,49 @@ class TestMirrorMap:
             assert abs(twice.amplitudes[index] - expected) <= 1e-12
 
 
+def _dense_or_diagonal(rng, k):
+    if k % 2:
+        return np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return np.linalg.qr(z)[0]
+
+
+# one column, an odd count, and a wide power of two (no transposed qubits there)
+KERNEL_SHAPES = [(m, cols) for m in range(2, 17) for cols in (1, 3, 1 << max(1, 17 - m))]
+
+
+class TestKernels:
+    """The run and mirror kernels against the passes and gathers they replace, bit for bit."""
+
+    @pytest.mark.parametrize("m, cols", KERNEL_SHAPES, ids=[f"M{m}-cols{c}" for m, c in KERNEL_SHAPES])
+    def test_run_equals_one_pass_per_qubit(self, m, cols):
+        rng = np.random.default_rng([m, cols])
+        arr = rng.standard_normal((1 << m, cols)) + 1j * rng.standard_normal((1 << m, cols))
+        arr.flags.writeable = False  # the kernel must not write to its input
+        # every position in a shuffled order, ending on the last qubit (the store, or
+        # the ancilla), and an ascending run that wraps to qubit 0 as the QFT's do
+        orders = ([*map(int, rng.permutation(m - 1)), m - 1], [*range(1, m), 0])
+        for order in orders:
+            run = tuple((q, _dense_or_diagonal(rng, k)) for k, q in enumerate(order))
+            expected = arr
+            for qubit, u in run:
+                expected = dynamics._local_raw(expected, qubit, u)
+            assert np.array_equal(dynamics._locals_raw(arr, run), expected)
+        for qubit, u in run:  # one-entry runs, as apply_local makes them
+            single = dynamics._locals_raw(arr, ((qubit, u),))
+            assert np.array_equal(single, dynamics._local_raw(arr, qubit, u))
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    @pytest.mark.parametrize("rest", [1, 2, 3, 64])
+    def test_mirror_take_equals_fancy_index_gather(self, n, rest):
+        rng = np.random.default_rng([n, rest])
+        arr = rng.standard_normal((1 << n, rest)) + 1j * rng.standard_normal((1 << n, rest))
+        phases = dynamics._mirror_phases(n, 0.37)
+        expected = arr[dynamics._site_reversal(n)]
+        expected *= phases[:, None]
+        assert np.array_equal(dynamics._mirror_raw(arr, n, phases), expected)
+
+
 class TestLocals:
     def test_identity_noop(self):
         layout = Layout(2)
@@ -285,12 +345,17 @@ class TestLocals:
 
     def test_rejects_nonunitary(self):
         layout = Layout(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(NonUnitaryError):
             apply_local(StateVector.zero(layout), 0, np.array([[1.0, 0.0], [0.0, 0.5]]))
 
     def test_rejects_nan_matrix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonUnitaryError):
             apply_local(StateVector.zero(Layout(1)), 0, np.full((2, 2), math.nan))
+
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(NonUnitaryError, match="expected a 2x2 matrix"):
+            apply_local(StateVector.zero(Layout(2)), 0, np.eye(3))
+        assert issubclass(NonUnitaryError, ValueError)
 
     def test_swap_basic(self):
         layout = Layout(2)

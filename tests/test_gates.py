@@ -10,8 +10,11 @@ from corechain import (
     FreeEvolve,
     GateProgram,
     HADAMARD,
+    InvalidInstructionError,
     Layout,
     Local,
+    NonFiniteTimeError,
+    NonUnitaryError,
     PAULI_X,
     PAULI_Z,
     StateVector,
@@ -51,13 +54,20 @@ class TestProgramValidation:
     )
     def test_bad_index_names_instruction(self, bad):
         layout = Layout(4, ancilla_count=1)
-        with pytest.raises(ValueError, match="instruction 1"):
+        with pytest.raises(InvalidInstructionError, match="instruction 1"):
             GateProgram((FreeEvolve(math.pi), bad), layout)
+        assert issubclass(InvalidInstructionError, ValueError)
 
-    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
     def test_nonfinite_duration(self, duration):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteTimeError):
             FreeEvolve(duration)
+
+    def test_nonunitary_local_and_target_are_named(self):
+        with pytest.raises(NonUnitaryError):
+            Local(0, np.diag([1.0, 2.0]))
+        with pytest.raises(NonUnitaryError):
+            TargetSpec(1, {2: np.ones((3, 3))})
 
 
 class TestControlledZ:

@@ -87,9 +87,12 @@ def test_locals_fuse_per_qubit_between_other_instructions():
         ),
         layout,
     )
+    plan = gates._plan(program, zero_phase_profile(3))
     assert kernels(program, zero_phase_profile(3)) == [
-        "_local_raw", "_local_raw", "_mirror_raw", "_local_raw", "_swap_raw", "_local_raw",
+        "_locals_raw", "_mirror_raw", "_locals_raw", "_swap_raw", "_locals_raw",
     ]
+    runs = [[q for q, _ in step.keywords["run"]] for step in plan if "run" in step.keywords]
+    assert runs == [[0, 1], [2], [2]]  # one step per run, one 2x2 per qubit in first-seen order
     assert program.local_count == 7  # fusion lives in the plan only
 
 
@@ -122,9 +125,13 @@ def programs(draw, n):
     total = layout.total_qubits
     ops = []
     for _ in range(draw(st.integers(1, 14))):
-        choice = draw(st.sampled_from(["local", "local", "swap", "evolve"]))
+        choice = draw(st.sampled_from(["local", "local", "run", "swap", "evolve"]))
         if choice == "local":
             ops.append(Local(draw(st.integers(0, total - 1)), draw(unitaries())))
+        elif choice == "run":  # Locals on consecutive qubits, often through the last one
+            first = draw(st.integers(0, total - 1))
+            last = draw(st.sampled_from([total - 1, draw(st.integers(first, total - 1))]))
+            ops += [Local(q, draw(unitaries())) for q in range(first, last + 1)]
         elif choice == "swap":
             site = draw(st.integers(1, n))
             partners = [p for p in range(total) if p != site - 1]

@@ -43,6 +43,62 @@ def test_dumps_is_valid_json_and_deterministic():
     assert json.loads(text1) == json.loads(json.dumps(payload))
 
 
+def reference_dumps(obj, indent=0):
+    """The one-call-per-value renderer that `dumps` must match byte for byte."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{inner}{json.dumps(str(k))}: {reference_dumps(v, indent + 2)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rendered = [reference_dumps(v, indent + 2) for v in obj]
+        if all("\n" not in r for r in rendered) and sum(len(r) for r in rendered) < 72:
+            return "[" + ", ".join(rendered) + "]"
+        return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
+    return json.dumps(obj)
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=6),
+    st.integers(-5, 5).map(np.int64),
+    st.floats(-1e3, 1e3).map(np.float64),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(0, 9)), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(obj=json_values)
+def test_dumps_matches_the_recursive_reference(obj):
+    assert serialize.dumps(obj) == reference_dumps(obj)
+
+
+def test_dumps_matches_the_recursive_reference_on_a_qft_program():
+    data = serialize.program_to_dict(qft_program(6, include_bit_reversal=True))
+    assert serialize.dumps(data) == reference_dumps(data)
+
+
 def test_profile_round_trip(tmp_path):
     profile = christandl_profile(5)
     path = tmp_path / "profile.json"
