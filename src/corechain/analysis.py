@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form, require_valid_profile
+from .chain import CERTIFICATE_TOL, CouplingProfile, mirror_certificate, mirror_is_closed_form
+from .chain import require_valid_profile
 # unused here, `evolve` stays bound: benchmarks/tracing.py wraps analysis.evolve
 from .dynamics import StateVector, evolution_overlaps, evolve, mirror_map  # noqa: F401
 from .errors import InsufficientDataError, InvalidCertificateError
@@ -184,9 +185,9 @@ def timing_error(
     """Infidelity 1 - |<ideal | evolved(tau + delta_t)>|^2 of one mirror period.
 
     The ideal image is the closed-form mirror of `state`, so (profile, tau)
-    needs a valid mirror certificate and positive couplings.  The result
-    vanishes quadratically in delta_t because the leading correction is the
-    energy variance of the state.
+    needs a valid mirror certificate, positive couplings and the certificate's
+    `phi_n`.  The result vanishes quadratically in delta_t because the
+    leading correction is the energy variance of the state.
     """
     return _timing_errors(profile, state, tau, phi_n, [delta_t])[0]
 
@@ -198,6 +199,11 @@ def _timing_errors(profile, state, tau, phi_n, delta_ts) -> list[float]:
         raise InvalidCertificateError(
             f"no closed-form mirror at tau={tau}: certificate deviation "
             f"{certificate.max_deviation:.3g}, smallest coupling {min(profile.omegas):.3g}"
+        )
+    gap = phi_n - certificate.phi_n  # compared on the unit circle, where pi and -pi agree
+    if not math.isfinite(gap) or abs(math.remainder(gap, math.tau)) > CERTIFICATE_TOL:
+        raise InvalidCertificateError(
+            f"phi_n={phi_n:.12g} contradicts the certificate's phi_n={certificate.phi_n:.12g} at tau={tau}"
         )
     ideal = mirror_map(state, phi_n)
     overlaps = evolution_overlaps(profile, ideal, state, [tau + dt for dt in delta_ts])

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     IllConditionedError,
     InvalidProfileError,
+    NonFiniteTimeError,
     ReconstructionInfeasibleError,
     SizeLimitError,
 )
@@ -240,7 +241,7 @@ def mirror_certificate(profile: CouplingProfile, tau: float) -> MirrorCertificat
         raise ValueError(f"tau must be positive and finite, got {tau}")
     energies = single_excitation_matrix(profile).eigenvalues()[::-1]  # descending
     if not math.isfinite(float(np.max(np.abs(energies))) * tau):
-        raise ValueError(f"tau={tau} overflows the mode phases E_k tau")
+        raise NonFiniteTimeError(f"tau={tau} overflows the mode phases E_k tau")
     phi = math.remainder(energies[0] * tau, 2.0 * math.pi)
     if phi < -math.pi + 1e-12:  # canonicalize the -pi/+pi boundary
         phi += 2.0 * math.pi

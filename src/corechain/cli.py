@@ -271,11 +271,16 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_robustness(args) -> int:
+    if args.seed < 0:
+        return _fail(f"--seed must be nonnegative, got {args.seed}", 1)
+    try:
+        dts = [float(part) for part in args.dts.split(",")]
+    except ValueError:
+        return _fail(f"--dts must be comma-separated numbers, got {args.dts!r}", 1)
     profile = _profile_from_args(args)
     layout = dynamics.Layout(profile.n_sites)
     state = dynamics.random_state(layout, seed=args.seed, core_weight=args.weight)
     certificate = chain.mirror_certificate(profile, args.tau)
-    dts = [float(part) for part in args.dts.split(",")]
     report = analysis.robustness_fit(profile, state, args.tau, certificate.phi_n, dts)
     _write_json(args.out, serialize.robustness_report_to_dict(report))
     if args.csv:

@@ -26,11 +26,11 @@ Kernels
 -------
 The `_*_raw` functions are the kernel layer that public operations and
 lowered gate programs (:func:`corechain.gates._plan`) run on.  Each takes the
-amplitudes as a C-contiguous (2^M, columns) array and returns a new one.
-`_locals_raw` applies a run of single-qubit unitaries on distinct qubits as
-two-row passes.  A qubit near the end of the register has rows of only 1 or
-2 amplitudes on one column, so such qubits run on the transposed array,
-where their rows are long; `apply_local` is the one-entry run.
+amplitudes as a C-contiguous (2^M, columns) array, may write into it, and
+returns the result; `gates.execute`, `evolve` and `apply_local` copy a
+StateVector's read-only amplitudes first.  `_locals_raw` applies a run of
+single-qubit unitaries on distinct qubits as two-row passes, the last
+qubits (rows of 1 or 2 amplitudes on one column) on the transposed array.
 `_mirror_raw` gathers the site-reversed core index with `np.take` and
 multiplies the phases along the longer axis.  Neither calls BLAS, so a
 wide batch of columns never meets a multi-threaded product there.
@@ -52,8 +52,7 @@ MAX_TOTAL_QUBITS = 16
 MAX_DENSE_CORE = 12
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
-# amplitudes per block of an in-place local pass: its two scratch rows stay at 256 KB each,
-# below the half-array temporary of an out-of-place pass on a wide batch of columns
+# amplitudes per block of a local pass, so its two scratch rows stay at 256 KB each
 _PASS_BLOCK = 1 << 14
 
 
@@ -240,14 +239,14 @@ def _rotate(arr: np.ndarray, n_core: int, rotations, back: bool = False) -> None
 
 
 def _evolve_raw(profile: CouplingProfile, t: float, arr: np.ndarray) -> np.ndarray:
-    """exp(-i H t) on the core factor: into the mode basis, phase, and back."""
+    """exp(-i H t) on the core factor, in place: into the mode basis, phase, and back."""
     energies, rotations = _block_eigensystems(profile)
     n_core = profile.n_sites
-    out = arr.reshape(1 << n_core, -1).copy()
-    _rotate(out, n_core, rotations)
-    out *= np.exp(-1j * float(t) * (_core_bits(n_core) @ energies))[:, None]
-    _rotate(out, n_core, rotations, back=True)
-    return out.reshape(arr.shape)
+    core = np.reshape(arr, (1 << n_core, -1), copy=False)
+    _rotate(core, n_core, rotations)
+    core *= np.exp(-1j * float(t) * (_core_bits(n_core) @ energies))[:, None]
+    _rotate(core, n_core, rotations, back=True)
+    return arr
 
 
 def _mirror_phases(n_sites: int, phi_n: float) -> np.ndarray:
@@ -275,27 +274,14 @@ def _mirror_raw(arr: np.ndarray, n_sites: int, phases: np.ndarray) -> np.ndarray
     return out.reshape(arr.shape)
 
 
-def _local_raw(arr: np.ndarray, qubit: int, u: np.ndarray) -> np.ndarray:
-    """Two-row pass of a 2x2 unitary on the (2^qubit, 2, rest) view; a diagonal one scales rows."""
-    view = arr.reshape(1 << qubit, 2, -1)
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        return (view * np.diagonal(u)[:, None]).reshape(arr.shape)
-    top, bottom = view[:, 0], view[:, 1]
-    out = np.empty_like(view)
-    for row in (0, 1):  # each row built in place: one half-size temporary at a time
-        np.multiply(top, u[row, 0], out=out[:, row])
-        out[:, row] += u[row, 1] * bottom
-    return out.reshape(arr.shape)
-
-
 def _local_in_place(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) -> None:
-    """`_local_raw` written back into `arr`: the same products and sums, block by block.
+    """Two-row pass of a 2x2 unitary on the (2^qubit, 2, rest) view, written into `arr`.
 
-    `scratch` holds two rows (the new bottom row and one product) of
-    min(size / 2, _PASS_BLOCK) amplitudes, so a pass needs no temporary the
-    size of the array.
+    A diagonal unitary scales the rows.  Otherwise `scratch` holds two rows
+    (the new bottom row and one product) of min(size / 2, _PASS_BLOCK)
+    amplitudes, so a pass, block by block, needs no array-sized temporary.
     """
-    view = arr.reshape(1 << qubit, 2, -1)
+    view = np.reshape(arr, (1 << qubit, 2, -1), copy=False)
     if u[0, 1] == 0 and u[1, 0] == 0:
         view *= np.diagonal(u)[:, None]
         return
@@ -323,25 +309,19 @@ def _locals_raw(arr: np.ndarray, run: Sequence[tuple[int, np.ndarray]]) -> np.nd
     trailing axis is the shorter one (1 or 2 for the last qubits of one
     column), so those qubits run on the transposed (2^cut, rest) copy
     instead: there q sits at q - cut and its trailing axis is 2^cut times
-    longer.  The first pass writes a new array and the others write into it,
-    so a run holds its input, one array and the scratch rows; a second full
-    array made the allocator trim and re-fault its heap on every run of a
-    wide column batch.  Transposes only move amplitudes, so the result is
-    the sequence of `_local_raw` passes bit for bit.
+    longer.  Every pass writes into `arr` or that copy: a second full array
+    made the allocator trim and re-fault its heap on every run of a wide
+    column batch.  Transposes only move amplitudes, so the result is one
+    `_local_in_place` per qubit bit for bit.
     """
     cut = arr.size.bit_length() // 2
-    out, leading, scratch = arr, True, None  # leading: the amplitudes in their own order
+    scratch = np.empty((2, min(arr.size // 2, _PASS_BLOCK)), dtype=arr.dtype)
+    out, leading = arr, True  # leading: the amplitudes in their own order
     for qubit, u in run:
         if (qubit < cut) != leading:
             out = (out.reshape(1 << cut, -1) if leading else out.reshape(-1, 1 << cut)).T.copy()
             leading = not leading
-        position = qubit if leading else qubit - cut
-        if out is arr:  # never written: the caller still holds it
-            out = _local_raw(out, position, u)
-            continue
-        if scratch is None:
-            scratch = np.empty((2, min(arr.size // 2, _PASS_BLOCK)), dtype=arr.dtype)
-        _local_in_place(out, position, u, scratch)
+        _local_in_place(out, qubit if leading else qubit - cut, u, scratch)
     if not leading:
         out = out.reshape(-1, 1 << cut).T.copy()
     return out.reshape(arr.shape)
@@ -366,17 +346,18 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # public operations
 
 
-def _check_evolution(profile: CouplingProfile, layout: Layout, times) -> None:
-    if profile.n_sites != layout.core_sites:
-        raise ValueError(f"profile has {profile.n_sites} sites but layout has {layout.core_sites}")
-    if not np.all(np.isfinite(times)):
-        raise NonFiniteTimeError(f"evolution time must be finite, got {times}")
+def _check_evolution(profile: CouplingProfile, n_sites: int, times) -> None:
+    if profile.n_sites != n_sites:
+        raise ValueError(f"profile has {profile.n_sites} sites but layout has {n_sites}")
+    energies = _block_eigensystems(profile)[0]  # |t sum_k E_k n_k| <= |t| sum_k |E_k|
+    if not math.isfinite(float(np.max(np.abs(times), initial=0.0)) * float(np.sum(np.abs(energies)))):
+        raise NonFiniteTimeError(f"evolution time and its mode phases must be finite, got {times}")
 
 
 def evolve(profile: CouplingProfile, state: StateVector, t: float) -> StateVector:
     """Apply exp(-i H t) to the core factor; ancilla and store are untouched."""
-    _check_evolution(profile, state.layout, t)
-    amps = _evolve_raw(profile, t, state.amplitudes[:, None])
+    _check_evolution(profile, state.layout.core_sites, t)
+    amps = _evolve_raw(profile, t, state.amplitudes[:, None].copy())
     return StateVector(state.layout, amps[:, 0])
 
 
@@ -391,7 +372,7 @@ def evolution_overlaps(
     if bra.layout != ket.layout:
         raise ValueError("states live on different layouts")
     times = np.asarray(times, dtype=float)
-    _check_evolution(profile, ket.layout, times)
+    _check_evolution(profile, ket.layout.core_sites, times)
     energies, rotations = _block_eigensystems(profile)
     n_core = profile.n_sites
     modes = np.stack([bra.amplitudes, ket.amplitudes], axis=1)
@@ -414,6 +395,7 @@ def full_propagator(profile: CouplingProfile, t: float) -> Propagator:
         raise SizeLimitError(
             f"dense propagator capped at {MAX_DENSE_CORE} sites, got {profile.n_sites}"
         )
+    _check_evolution(profile, profile.n_sites, t)
     dim = 1 << profile.n_sites
     u = np.zeros((dim, dim), dtype=np.complex128)
     for idx, block in _block_propagators(profile, float(t)):
@@ -439,7 +421,7 @@ def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     u = _check_unitary(u)
     if not 0 <= qubit < state.layout.total_qubits:
         raise ValueError(f"qubit {qubit} outside 0..{state.layout.total_qubits - 1}")
-    amps = _locals_raw(state.amplitudes[:, None], ((qubit, u),))
+    amps = _locals_raw(state.amplitudes[:, None].copy(), ((qubit, u),))
     return StateVector(state.layout, amps[:, 0])
 
 

@@ -142,10 +142,11 @@ def _evolve_step(profile: CouplingProfile, duration: float, n_sites: int) -> _St
     if profile.n_sites != n_sites:
         raise ValueError("profile does not match the program layout")
     if duration > 0:
-        certificate = mirror_certificate(profile, duration)
+        certificate = mirror_certificate(profile, duration)  # refuses a period that overflows the phases
         if mirror_is_closed_form(profile, certificate):
             phases = dynamics._mirror_phases(n_sites, certificate.phi_n)
             return partial(dynamics._mirror_raw, n_sites=n_sites, phases=phases)
+    dynamics._check_evolution(profile, n_sites, duration)
     return partial(dynamics._evolve_raw, profile, duration)
 
 
@@ -191,7 +192,7 @@ def execute(program: GateProgram, profile: CouplingProfile, state: StateVector) 
     """Run the program on `state`; free evolutions use `profile`."""
     if state.layout != program.layout:
         raise ValueError("state layout does not match the program layout")
-    return StateVector(program.layout, _run(program, profile, state.amplitudes[:, None])[:, 0])
+    return StateVector(program.layout, _run(program, profile, state.amplitudes[:, None].copy())[:, 0])
 
 
 def program_unitary(program: GateProgram, profile: CouplingProfile) -> np.ndarray:

@@ -162,25 +162,29 @@ def layout_from_dict(data: dict) -> Layout:
     )
 
 
+def _complex_to_pairs(values: np.ndarray) -> list:
+    """Complex entries as nested [re, im] lists of Python floats, in the array's shape."""
+    return np.ascontiguousarray(values).view(np.float64).reshape(*values.shape, 2).tolist()
+
+
+def _complex_from_pairs(data) -> np.ndarray:
+    """Nested [re, im] lists as a complex array; a -0 part keeps its sign."""
+    try:
+        pairs = np.array(data)
+    except ValueError:  # numpy refuses a ragged list
+        raise TypeError("expected [re, im] pairs, got a ragged list") from None
+    if pairs.dtype.kind not in "biuf" or pairs.shape[-1:] != (2,):
+        raise TypeError(f"expected numeric [re, im] pairs, got {pairs.dtype} entries of shape {pairs.shape}")
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
+
+
 def state_to_dict(state: StateVector) -> dict:
-    return {
-        "layout": layout_to_dict(state.layout),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-    }
+    return {"layout": layout_to_dict(state.layout), "amplitudes": _complex_to_pairs(state.amplitudes)}
 
 
 @_reader
 def state_from_dict(data: dict) -> StateVector:
-    amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-    return StateVector(layout_from_dict(data["layout"]), amps)
-
-
-def _matrix_to_lists(matrix: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in matrix]
-
-
-def _matrix_from_lists(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    return StateVector(layout_from_dict(data["layout"]), _complex_from_pairs(data["amplitudes"]))
 
 
 def instruction_to_dict(instruction: Instruction) -> dict:
@@ -192,7 +196,7 @@ def instruction_to_dict(instruction: Instruction) -> dict:
         "op": "local",
         "qubit": instruction.qubit,
         "label": instruction.label,
-        "matrix": _matrix_to_lists(instruction.matrix),
+        "matrix": _complex_to_pairs(instruction.matrix),
     }
 
 
@@ -204,7 +208,7 @@ def instruction_from_dict(data: dict) -> Instruction:
     if op == "swap":
         return Swap(_integer(data["core_site"], "core_site"), _integer(data["partner"], "partner"))
     if op == "local":
-        matrix = _matrix_from_lists(data["matrix"])
+        matrix = _complex_from_pairs(data["matrix"])
         return Local(_integer(data["qubit"], "qubit"), matrix, data.get("label", ""))
     raise ValueError(f"unknown instruction op {op!r}")
 

@@ -182,6 +182,17 @@ class TestTimingError:
         with pytest.raises(InvalidCertificateError, match="smallest coupling"):
             timing_error(profile, random_state(Layout(4), seed=1), math.pi, 0.0, 1e-3)
 
+    def test_phase_must_match_certificate(self):
+        profile = christandl_profile(4)  # the certificate's phi_n is pi
+        state = random_state(Layout(4), seed=1)
+        for phi_n in (0.0, math.pi / 2, math.nan, math.inf):
+            with pytest.raises(InvalidCertificateError, match=r"phi_n=\S+ contradicts .* phi_n=3.14159"):
+                robustness_fit(profile, state, math.pi, phi_n, [1e-1, 1e-2, 1e-3])
+        # the same phase on the unit circle is accepted
+        for phi_n in (-math.pi, 3 * math.pi):
+            report = robustness_fit(profile, state, math.pi, phi_n, [1e-1, 1e-2, 1e-3])
+            assert 1.9 <= report.fitted_order <= 2.1
+
     def test_global_phase_invariance(self):
         profile = christandl_profile(4)
         cert = mirror_certificate(profile, math.pi)
@@ -214,9 +225,10 @@ class TestRobustnessFit:
 
     def test_vacuum_insufficient(self):
         profile = christandl_profile(4)
+        cert = mirror_certificate(profile, math.pi)
         state = StateVector.zero(Layout(4))
         with pytest.raises(InsufficientDataError):
-            robustness_fit(profile, state, math.pi, 0.0, [1e-1, 1e-2, 1e-3])
+            robustness_fit(profile, state, math.pi, cert.phi_n, [1e-1, 1e-2, 1e-3])
 
     def test_scaled_chain_same_order(self):
         base = christandl_profile(4)

@@ -523,6 +523,29 @@ def probe_argv():
         st.tuples(st.sampled_from(["design", "verify"]), st.integers(MAX_CHAIN_SITES + 1, 10**15)).map(
             lambda command_n: [command_n[0], "--christandl", str(command_n[1])]
         ),
+        # --check runs the program on every data column, so only up to 4 sites
+        st.tuples(st.integers(-3, 18), st.booleans()).map(
+            lambda n_check: ["qft", "--n", str(n_check[0])] + ["--check"] * (n_check[1] and n_check[0] <= 4)
+        ),
+        st.tuples(
+            st.text("xyziq", max_size=6), real, st.sampled_from(["ancilla", "direct", "both"]), st.booleans()
+        ).map(
+            lambda h: ["hamsim", "--mask", h[0], "--dt", h[1], "--variant", h[2]]
+            + ["--check"] * (h[3] and len(h[0]) <= 4)
+        ),
+        # one robustness argument at a time, the others at their defaults
+        st.one_of(
+            st.sampled_from(["1e-1,1e-2,1e-3", "1e-1,x", ",", "", "nan,1e-2,1e-3", "1,2,3", "1e-1,1e-2"]).map(
+                lambda dts: ["--dts", dts]
+            ),
+            st.integers(-3, 3).map(lambda seed: ["--seed", str(seed)]),
+            st.integers(-2, 6).map(lambda weight: ["--weight", str(weight)]),
+            real.map(lambda tau: ["--tau", tau]),
+        ).map(lambda option: ["robustness", "--christandl", "4", *option]),
+        real.map(lambda t: ["evolve", "--christandl", "3", "--basis", "100", "--t", t]),
+        st.tuples(st.sampled_from(["z", "w", "cat"]), st.integers(-1, 5), real).map(
+            lambda g: ["gate", "--christandl", "3", "--run", "--kind", g[0], "--x", str(g[1]), "--phase", g[2]]
+        ),
     )
 
 
@@ -557,6 +580,12 @@ def test_boundary_fails_with_one_error_line(case):
 
 
 ONE_SITE = '{"n_sites": 1, "omegas": [], "lambdas": [0.0]}'
+EVOLVE_STATE = ["evolve", "--christandl", "2", "--t", "1.0", "--state"]
+
+
+def state_with(first):
+    """A two-site state file whose first amplitude is `first` and the others [0, 0]."""
+    return json.dumps({"layout": {"core_sites": 2}, "amplitudes": [first, [0, 0], [0, 0], [0, 0]]})
 
 
 @pytest.mark.parametrize(
@@ -603,6 +632,22 @@ ONE_SITE = '{"n_sites": 1, "omegas": [], "lambdas": [0.0]}'
             1,
             "2000 sites exceeds the chain cap of 1024",
         ),
+        (EVOLVE_STATE, state_with([1, 0, 0]), 1, "malformed state: expected [re, im] pairs"),
+        (EVOLVE_STATE, state_with([1]), 1, "malformed state: expected [re, im] pairs"),
+        (EVOLVE_STATE, state_with(["1", 0]), 1, "malformed state: expected numeric [re, im] pairs"),
+        (
+            ["cost", "--program"],
+            json.dumps(
+                {
+                    "layout": {"core_sites": 2},
+                    "instructions": [{"op": "local", "qubit": 0, "matrix": [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]}],
+                }
+            ),
+            1,
+            "malformed instruction: expected [re, im] pairs",
+        ),
+        (["robustness", "--christandl", "4", "--dts", "1e-1,x"], None, 1, "--dts must be comma-separated numbers"),
+        (["robustness", "--christandl", "4", "--seed", "-1"], None, 1, "--seed must be nonnegative, got -1"),
     ],
 )
 def test_boundary_names_the_problem(tmp_path, argv, content, code, named):

@@ -14,17 +14,21 @@ from corechain import (
     CouplingProfile,
     FreeEvolve,
     GateProgram,
+    HADAMARD,
     InvalidProfileError,
     InvalidStateError,
     NonFiniteTimeError,
     NonUnitaryError,
+    PAULI_Y,
     Spectrum,
     Layout,
+    Local,
     SizeLimitError,
     StateVector,
     apply_local,
     christandl_profile,
     evolve,
+    execute,
     fidelity_up_to_global_phase,
     full_propagator,
     mirror_map,
@@ -91,6 +95,19 @@ def test_nonfinite_evolution_time_is_named(t):
     with pytest.raises(NonFiniteTimeError):
         evolve(christandl_profile(3), StateVector.zero(Layout(3)), t)
     assert issubclass(NonFiniteTimeError, ValueError)
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_time_that_overflows_the_phases_is_named(t):
+    profile, layout = christandl_profile(3), Layout(3)
+    runs = (
+        lambda: evolve(profile, StateVector.zero(layout), t),
+        lambda: execute(GateProgram((FreeEvolve(t),), layout), profile, StateVector.zero(layout)),
+        lambda: full_propagator(profile, t),
+    )
+    for run in runs:  # a closed-form period is refused by its mirror certificate, the rest by the network
+        with pytest.raises(NonFiniteTimeError, match="mode phases"):
+            run()
 
 
 def test_basis_reads_left_to_right():
@@ -293,6 +310,15 @@ def _dense_or_diagonal(rng, k):
 KERNEL_SHAPES = [(m, cols) for m in range(2, 17) for cols in (1, 3, 1 << max(1, 17 - m))]
 
 
+def _passes_in_own_order(arr, run):
+    """One `_local_in_place` per qubit on a copy, never transposed: the run kernel's reference."""
+    expected = arr.copy()
+    scratch = np.empty((2, arr.size // 2), dtype=arr.dtype)
+    for qubit, u in run:
+        dynamics._local_in_place(expected, qubit, u, scratch)
+    return expected
+
+
 class TestKernels:
     """The run and mirror kernels against the passes and gathers they replace, bit for bit."""
 
@@ -300,19 +326,38 @@ class TestKernels:
     def test_run_equals_one_pass_per_qubit(self, m, cols):
         rng = np.random.default_rng([m, cols])
         arr = rng.standard_normal((1 << m, cols)) + 1j * rng.standard_normal((1 << m, cols))
-        arr.flags.writeable = False  # the kernel must not write to its input
+        arr.flags.writeable = False  # the kernel gets copies; the references read this
         # every position in a shuffled order, ending on the last qubit (the store, or
         # the ancilla), and an ascending run that wraps to qubit 0 as the QFT's do
         orders = ([*map(int, rng.permutation(m - 1)), m - 1], [*range(1, m), 0])
         for order in orders:
             run = tuple((q, _dense_or_diagonal(rng, k)) for k, q in enumerate(order))
-            expected = arr
-            for qubit, u in run:
-                expected = dynamics._local_raw(expected, qubit, u)
-            assert np.array_equal(dynamics._locals_raw(arr, run), expected)
+            assert np.array_equal(dynamics._locals_raw(arr.copy(), run), _passes_in_own_order(arr, run))
         for qubit, u in run:  # one-entry runs, as apply_local makes them
-            single = dynamics._locals_raw(arr, ((qubit, u),))
-            assert np.array_equal(single, dynamics._local_raw(arr, qubit, u))
+            single = dynamics._locals_raw(arr.copy(), ((qubit, u),))
+            assert np.array_equal(single, _passes_in_own_order(arr, ((qubit, u),)))
+
+    def test_run_before_cut_writes_into_its_argument(self):
+        arr = np.zeros((1 << 10, 1), dtype=np.complex128)
+        arr[0] = 1.0
+        out = dynamics._locals_raw(arr, tuple((q, HADAMARD) for q in range(5)))  # cut = 5
+        assert np.shares_memory(out, arr)
+        assert_allclose(np.abs(out[::32, 0]), np.full(32, 2**-2.5))
+
+    def test_public_operations_leave_the_state_alone(self):
+        layout = Layout(4, ancilla_count=1)
+        profile = zero_phase_profile(4)
+        state = random_state(layout, seed=3)
+        # writeable, so a missing boundary copy would overwrite the state instead of raising
+        state.amplitudes.flags.writeable = True
+        saved = state.amplitudes.copy()
+        hadamards = GateProgram(tuple(Local(q, HADAMARD) for q in range(5)), layout)
+        execute(hadamards, profile, state)  # the plan starts with a run of Locals
+        execute(GateProgram((FreeEvolve(0.7),), layout), profile, state)  # and with the network
+        evolve(profile, state, 0.7)
+        for qubit in (1, 4):  # before and after the transpose cut
+            apply_local(state, qubit, PAULI_Y)
+        assert np.array_equal(state.amplitudes, saved)
 
     @pytest.mark.parametrize("n", [2, 5, 12])
     @pytest.mark.parametrize("rest", [1, 2, 3, 64])
