@@ -265,7 +265,7 @@ def qft_program(
     if layout.core_sites != n:
         raise ValueError(f"layout has {layout.core_sites} core sites, expected {n}")
     if layout.ancilla_count < 1:
-        raise ValueError("the QFT program needs an ancilla")
+        raise UnsupportedConfigurationError("the QFT program needs an ancilla")
 
     instructions: list[Instruction] = []
     for x in range(1, n + 1):

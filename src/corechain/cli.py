@@ -158,14 +158,15 @@ def _cmd_gate(args) -> int:
             f"(max_deviation={certificate.max_deviation:.3e})"
         )
     if args.kind == "cat":
-        # theta = phi = 0 reflections are X on every site after the control
-        reflections = {site: (0.0, 0.0) for site in range(2, n + 1)}
-        program = gates.controlled_reflection_program(1, reflections, layout, tau, certificate.phi_n)
-        plus = dynamics.apply_local(dynamics.StateVector.zero(layout), 0, gates.HADAMARD)
+        x, m = args.x, layout.total_qubits
+        # theta = phi = 0 reflections are X on every site but the control
+        reflections = {site: (0.0, 0.0) for site in range(1, n + 1) if site != x}
+        program = gates.controlled_reflection_program(x, reflections, layout, tau, certificate.phi_n)
+        plus = dynamics.apply_local(dynamics.StateVector.zero(layout), layout.core_position(x), gates.HADAMARD)
         final = gates.execute(program, profile, plus)
         ideal = np.zeros(layout.dim, dtype=np.complex128)
-        # |00...0>|0> + |01...1>|1>: site 1 emptied, the control's half on the ancilla
-        ideal[[0, (1 << n) - 1]] = 1 / math.sqrt(2)
+        # |0...0>|0> + |every site but x set>|1>: site x emptied, the control's half on the ancilla
+        ideal[[0, (1 << m) - 1 - (1 << (m - x))]] = 1 / math.sqrt(2)
         fidelity = dynamics.fidelity_up_to_global_phase(
             dynamics.StateVector(layout, ideal), final
         )

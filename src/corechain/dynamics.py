@@ -46,7 +46,10 @@ from typing import Sequence
 import numpy as np
 
 from .chain import CouplingProfile, single_excitation_matrix
-from .errors import InvalidStateError, NonFiniteTimeError, NonUnitaryError, SizeLimitError
+from .errors import (
+    InvalidInstructionError, InvalidLayoutError, InvalidStateError,
+    NonFiniteTimeError, NonUnitaryError, SizeLimitError,
+)
 
 MAX_TOTAL_QUBITS = 16
 MAX_DENSE_CORE = 12
@@ -66,7 +69,7 @@ class Layout:
 
     def __post_init__(self):
         if self.core_sites < 1 or self.ancilla_count < 0 or self.store_sites < 0:
-            raise ValueError("layout counts must be nonnegative (and at least one core site)")
+            raise InvalidLayoutError("layout counts must be nonnegative (and at least one core site)")
         if self.total_qubits > MAX_TOTAL_QUBITS:
             raise SizeLimitError(
                 f"{self.total_qubits} qubits exceeds the desk-scale cap of {MAX_TOTAL_QUBITS}"
@@ -83,17 +86,17 @@ class Layout:
     def core_position(self, site: int) -> int:
         """Global qubit position of 1-based chain site `site`."""
         if not 1 <= site <= self.core_sites:
-            raise ValueError(f"site {site} outside 1..{self.core_sites}")
+            raise InvalidInstructionError(f"site {site} outside 1..{self.core_sites}")
         return site - 1
 
     def ancilla_position(self, k: int = 0) -> int:
         if not 0 <= k < self.ancilla_count:
-            raise ValueError(f"ancilla {k} outside 0..{self.ancilla_count - 1}")
+            raise InvalidInstructionError(f"ancilla {k} outside 0..{self.ancilla_count - 1}")
         return self.core_sites + k
 
     def store_position(self, k: int = 0) -> int:
         if not 0 <= k < self.store_sites:
-            raise ValueError(f"store slot {k} outside 0..{self.store_sites - 1}")
+            raise InvalidInstructionError(f"store slot {k} outside 0..{self.store_sites - 1}")
         return self.core_sites + self.ancilla_count + k
 
     def mirror_site(self, site: int) -> int:
@@ -127,7 +130,7 @@ class StateVector:
     def basis(cls, layout: Layout, bits: str | Sequence[int]) -> "StateVector":
         """Computational basis state from bits ordered core, ancilla, store."""
         if len(bits) != layout.total_qubits or any(b not in (0, 1, "0", "1") for b in bits):
-            raise ValueError(f"need {layout.total_qubits} bits in {{0,1}}, got {bits!r}")
+            raise InvalidStateError(f"need {layout.total_qubits} bits in {{0,1}}, got {bits!r}")
         amps = np.zeros(layout.dim, dtype=np.complex128)
         amps[int("".join(str(int(b)) for b in bits), 2)] = 1.0
         return cls(layout, amps)
@@ -207,19 +210,13 @@ def _block_eigensystems(profile: CouplingProfile):
     return energies, tuple(rotations)
 
 
-@lru_cache(maxsize=64)
-def _block_propagators(profile: CouplingProfile, t: float):
-    # dense blocks for full_propagator only, one weight's identity columns at a time;
-    # the benchmark reads this cache's counters
-    weights = _core_weights(profile.n_sites)
-    props = []
-    for w in range(profile.n_sites + 1):
-        idx = np.flatnonzero(weights == w)
-        identity = (np.arange(weights.size)[:, None] == idx).astype(np.complex128)
-        u = _evolve_raw(profile, t, identity)[idx]
-        u.flags.writeable = False
-        props.append((idx, u))
-    return tuple(props)
+@lru_cache(maxsize=8)
+def _block_propagators(profile: CouplingProfile, t: float) -> np.ndarray:
+    # the dense core unitary for full_propagator only: the network on the identity columns.
+    # 8 entries of up to 256 MB (12 sites); the benchmark reads this cache's counters
+    u = _evolve_raw(profile, t, np.eye(1 << profile.n_sites, dtype=np.complex128))
+    u.flags.writeable = False
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +331,13 @@ def _swap_raw(arr: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
+    """A read-only complex128 copy of `u`, refused unless `u` is a 2x2 unitary."""
+    u = np.array(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise NonUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
     if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL:  # also refuses NaN
         raise NonUnitaryError("matrix is not unitary")
+    u.flags.writeable = False
     return u
 
 
@@ -390,18 +389,13 @@ class Propagator:
 
 
 def full_propagator(profile: CouplingProfile, t: float) -> Propagator:
-    """Assemble the dense core propagator, one Hamming-weight block at a time."""
+    """The dense core propagator, read-only: one network pass on the identity columns."""
     if profile.n_sites > MAX_DENSE_CORE:
         raise SizeLimitError(
             f"dense propagator capped at {MAX_DENSE_CORE} sites, got {profile.n_sites}"
         )
     _check_evolution(profile, profile.n_sites, t)
-    dim = 1 << profile.n_sites
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    for idx, block in _block_propagators(profile, float(t)):
-        u[np.ix_(idx, idx)] = block
-    u.flags.writeable = False
-    return Propagator(float(t), u)
+    return Propagator(float(t), _block_propagators(profile, float(t)))
 
 
 def mirror_map(state: StateVector, phi_n: float) -> StateVector:

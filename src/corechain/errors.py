@@ -49,4 +49,8 @@ class NonFiniteTimeError(ValueError):
 
 
 class InvalidInstructionError(ValueError):
-    """A program instruction addresses a qubit outside its layout, or swaps a site with itself."""
+    """A site or qubit outside its layout, a target on the control site, or a site swapped with itself."""
+
+
+class InvalidLayoutError(ValueError):
+    """A register layout has a negative count or no core site."""

@@ -28,7 +28,7 @@ import numpy as np
 from . import dynamics
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
 from .dynamics import Layout, StateVector, _check_unitary, apply_local
-from .errors import InvalidInstructionError, NonFiniteTimeError
+from .errors import InvalidInstructionError, NonFiniteTimeError, UnsupportedConfigurationError
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -67,16 +67,14 @@ class Swap:
 
 @dataclass(frozen=True, eq=False)
 class Local:
-    """Single-qubit unitary at global position `qubit`."""
+    """Single-qubit unitary at global position `qubit`; keeps a read-only copy of `matrix`."""
 
     qubit: int
     matrix: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        m = _check_unitary(self.matrix)
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _check_unitary(self.matrix))
 
 
 Instruction = FreeEvolve | Swap | Local
@@ -213,9 +211,9 @@ def controlled_z_program(control: int, layout: Layout, tau: float = math.pi) -> 
     :func:`phase_correction` to strip the extra phases.
     """
     if layout.ancilla_count < 1:
-        raise ValueError("the controlled-Z composite needs an ancilla in the store")
+        raise UnsupportedConfigurationError("the controlled-Z composite needs an ancilla in the store")
     if not 1 <= control <= layout.core_sites:
-        raise ValueError(f"control site {control} outside 1..{layout.core_sites}")
+        raise InvalidInstructionError(f"control site {control} outside 1..{layout.core_sites}")
     instructions = (
         FreeEvolve(tau),
         Swap(layout.mirror_site(control), layout.ancilla_position(0)),
@@ -329,16 +327,13 @@ def abc_decompose(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
 
 @dataclass(frozen=True, eq=False)
 class TargetSpec:
-    """Control site plus per-site target unitaries; absent sites act as identity."""
+    """Control site plus per-site target unitaries (kept as read-only copies); absent sites act as identity."""
 
     control: int
     targets: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        checked = {int(site): _check_unitary(u) for site, u in self.targets.items()}
-        for m in checked.values():
-            m.flags.writeable = False
-        object.__setattr__(self, "targets", checked)
+        object.__setattr__(self, "targets", {int(s): _check_unitary(u) for s, u in self.targets.items()})
 
 
 def controlled_unitary_program(
@@ -352,29 +347,20 @@ def controlled_unitary_program(
     register size.
     """
     x = spec.control
-    if not 1 <= x <= layout.core_sites:
-        raise ValueError(f"control site {x} outside 1..{layout.core_sites}")
-    if layout.ancilla_count < 1:
-        raise ValueError("controlled multi-target gates need an ancilla")
-    for site in spec.targets:
-        if site == x:
-            raise ValueError("the control site carries no target")
-        if not 1 <= site <= layout.core_sites:
-            raise ValueError(f"target site {site} outside 1..{layout.core_sites}")
+    composite = controlled_z_program(x, layout, tau).instructions
+    if x in spec.targets:
+        raise InvalidInstructionError("the control site carries no target")
 
     sites = sorted(spec.targets)
     parts = {site: abc_decompose(spec.targets[site]) for site in sites}
-    composite = controlled_z_program(x, layout, tau).instructions
-    correction_away = phase_correction(phi_n, x, layout)
-    correction_home = phase_correction(phi_n, x, layout, control_position=layout.core_position(x))
 
     instructions: list[Instruction] = []
     instructions += [Local(layout.core_position(s), parts[s][2], f"C{s}") for s in sites]
     instructions += composite
-    instructions += correction_away
+    instructions += phase_correction(phi_n, x, layout)
     instructions += [Local(layout.core_position(s), parts[s][1], f"B{s}") for s in sites]
     instructions += composite
-    instructions += correction_home
+    instructions += phase_correction(phi_n, x, layout, control_position=layout.core_position(x))
     instructions += [Local(layout.core_position(s), parts[s][0], f"A{s}") for s in sites]
     alpha_sum = sum(parts[s][3] for s in sites)
     if abs(cmath.exp(1j * alpha_sum) - 1.0) > 1e-15:
@@ -401,18 +387,15 @@ def controlled_reflection_program(
     is up.  Inherits the composite's relocation: the control ends on the
     ancilla and its home site is left in |0>.
     """
-    if not 1 <= control <= layout.core_sites:
-        raise ValueError(f"control site {control} outside 1..{layout.core_sites}")
-    conjugators = {}
-    for site, (theta, phi) in reflections.items():
-        if site == control:
-            raise ValueError("the control site carries no target")
-        conjugators[site] = reflection_conjugator(theta, phi)
+    composite = controlled_z_program(control, layout, tau).instructions
+    if control in reflections:
+        raise InvalidInstructionError("the control site carries no target")
+    conjugators = {site: reflection_conjugator(theta, phi) for site, (theta, phi) in reflections.items()}
     sites = sorted(conjugators)
 
     instructions: list[Instruction] = []
     instructions += [Local(layout.core_position(s), conjugators[s].conj().T, f"Adag{s}") for s in sites]
-    instructions += controlled_z_program(control, layout, tau).instructions
+    instructions += composite
     instructions += phase_correction(phi_n, control, layout)
     instructions += [Local(layout.core_position(s), conjugators[s], f"A{s}") for s in sites]
     return GateProgram(

@@ -199,6 +199,12 @@ class TestGate:
         assert code == 0
         assert "cat fidelity: 1.0000000000" in out
 
+    @pytest.mark.parametrize("x", [1, 2, 3, 4])
+    def test_cat_control_site(self, capsys, x):
+        code, out, _ = run(capsys, "gate", "--christandl", "4", "--kind", "cat", "--x", str(x))
+        assert code == 0
+        assert out == "cat fidelity: 1.000000000000\n"
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -648,6 +654,9 @@ def state_with(first):
         ),
         (["robustness", "--christandl", "4", "--dts", "1e-1,x"], None, 1, "--dts must be comma-separated numbers"),
         (["robustness", "--christandl", "4", "--seed", "-1"], None, 1, "--seed must be nonnegative, got -1"),
+        (["gate", "--christandl", "4", "--kind", "cat", "--x", "9"], None, 1, "control site 9 outside 1..4"),
+        (["gate", "--christandl", "3", "--kind", "z", "--x", "9"], None, 1, "control site 9 outside 1..3"),
+        (["gate", "--christandl", "3", "--kind", "w", "--x", "9"], None, 1, "control site 9 outside 1..3"),
     ],
 )
 def test_boundary_names_the_problem(tmp_path, argv, content, code, named):

@@ -238,6 +238,19 @@ class TestFullPropagator:
         off_sector = weights[:, None] != weights[None, :]
         assert np.max(np.abs(u[off_sector])) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "profile",
+        [christandl_profile(n) for n in range(2, 9)]
+        + [RECONSTRUCTED["recon5"], RECONSTRUCTED["recon6"]]
+        + [CouplingProfile(4, (-0.61, 0.83, -0.61), (0.17, -0.4, -0.4, 0.17))],
+        ids=[f"christandl{n}" for n in range(2, 9)] + ["recon5", "recon6", "negated4"],
+    )
+    @pytest.mark.parametrize("t", [0.37, math.pi, 2.1])
+    def test_matches_dense_oracle(self, profile, t):
+        u = full_propagator(profile, t).matrix
+        assert not u.flags.writeable
+        assert np.max(np.abs(u - oracles.dense_propagator(profile, t))) <= 1e-12
+
 
 class TestMirrorMap:
     def test_vacuum_fixed(self):

@@ -1,6 +1,7 @@
 """Gate composites: controlled-Z bursts, reflections, general targets, cat states."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from corechain import (
     GateProgram,
     HADAMARD,
     InvalidInstructionError,
+    InvalidLayoutError,
+    InvalidStateError,
     Layout,
     Local,
     NonFiniteTimeError,
@@ -20,7 +23,9 @@ from corechain import (
     StateVector,
     Swap,
     TargetSpec,
+    UnsupportedConfigurationError,
     abc_decompose,
+    apply_local,
     cat_state_program,
     controlled_reflection_program,
     controlled_unitary_program,
@@ -31,6 +36,7 @@ from corechain import (
     phase_correction,
     phase_gate,
     program_unitary,
+    qft_program,
     reflection_conjugator,
     zero_phase_profile,
 )
@@ -68,6 +74,63 @@ class TestProgramValidation:
             Local(0, np.diag([1.0, 2.0]))
         with pytest.raises(NonUnitaryError):
             TargetSpec(1, {2: np.ones((3, 3))})
+
+    def test_instructions_keep_a_read_only_copy(self):
+        m = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+        local, spec = Local(0, m), TargetSpec(1, {2: m})
+        apply_local(StateVector.zero(Layout(1)), 0, m)
+        qft_program(4)
+        assert m.flags.writeable and HADAMARD.flags.writeable
+        for kept in (local.matrix, spec.targets[2]):
+            assert kept is not m and not kept.flags.writeable
+        m[...] = np.eye(2)
+        assert local.matrix[0, 0] == 0 and spec.targets[2][0, 0] == 0
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: StateVector.basis(Layout(2), "10x"), InvalidStateError, "need 2 bits in {0,1}"),
+            (lambda: Layout(0), InvalidLayoutError, "layout counts must be nonnegative"),
+            (lambda: Layout(2, ancilla_count=-1), InvalidLayoutError, "layout counts must be nonnegative"),
+            (lambda: Layout(2).core_position(3), InvalidInstructionError, "site 3 outside 1..2"),
+            (lambda: Layout(2, 1).ancilla_position(1), InvalidInstructionError, "ancilla 1 outside 0..0"),
+            (lambda: Layout(2).store_position(0), InvalidInstructionError, "store slot 0 outside 0..-1"),
+            (
+                lambda: controlled_z_program(4, Layout(3, 1)),
+                InvalidInstructionError,
+                "control site 4 outside 1..3",
+            ),
+            (
+                lambda: controlled_z_program(1, Layout(3)),
+                UnsupportedConfigurationError,
+                "the controlled-Z composite needs an ancilla in the store",
+            ),
+            (
+                lambda: qft_program(3, Layout(3)),
+                UnsupportedConfigurationError,
+                "the QFT program needs an ancilla",
+            ),
+            (
+                lambda: controlled_unitary_program(TargetSpec(1, {1: PAULI_X}), Layout(2, 1)),
+                InvalidInstructionError,
+                "the control site carries no target",
+            ),
+            (
+                lambda: controlled_reflection_program(1, {1: (0.0, 0.0)}, Layout(2, 1)),
+                InvalidInstructionError,
+                "the control site carries no target",
+            ),
+        ],
+        ids=[
+            "basis-bits", "no-core-site", "negative-ancillas", "core-position", "ancilla-position",
+            "store-position", "control-range", "composite-ancilla", "qft-ancilla", "unitary-control-target",
+            "reflection-control-target",
+        ],
+    )
+    def test_plain_value_errors_are_named(self, build, error, message):
+        with pytest.raises(error, match=re.escape(message)):
+            build()
+        assert issubclass(error, ValueError)
 
 
 class TestControlledZ:

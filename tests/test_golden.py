@@ -65,6 +65,7 @@ CASES = {
         "gate", "--profile", "{in}/recon5.json", "--kind", "w", "--x", "2",
         "--phase", "1.1", "--input", "110100", "--run", "--out", "{out}/w.json",
     ],
+    "gate_cat_christandl4_x3": ["gate", "--christandl", "4", "--kind", "cat", "--x", "3"],
     **{
         f"qft_n{n}{'_br' if br else ''}_check_out": [
             "qft", "--n", str(n), "--check", *(["--bit-reversal"] if br else []),
