@@ -28,12 +28,26 @@ The `_*_raw` functions are the kernel layer that public operations and
 lowered gate programs (:func:`corechain.gates._plan`) run on.  Each takes the
 amplitudes as a C-contiguous (2^M, columns) array, may write into it, and
 returns the result; `gates.execute`, `evolve` and `apply_local` copy a
-StateVector's read-only amplitudes first.  `_locals_raw` applies a run of
-single-qubit unitaries on distinct qubits as two-row passes, the last
-qubits (rows of 1 or 2 amplitudes on one column) on the transposed array.
-`_mirror_raw` gathers the site-reversed core index with `np.take` and
-multiplies the phases along the longer axis.  Neither calls BLAS, so a
-wide batch of columns never meets a multi-threaded product there.
+StateVector's read-only amplitudes first.  Viewed as a tensor with M axes
+of 2 and one of columns, the array need not hold qubit q on axis q: a plan
+carries the order, the axis that holds each qubit, so a swap and the site
+reversal of a mirror step move no amplitude.
+
+- `_phase_raw` multiplies by the weight phases of a certified mirror step,
+  one 2^N table broadcast over the axes that hold the chain.
+- `_locals_raw` applies a run of single-qubit unitaries as in-place
+  two-row passes on the axes it is given, the last ones (rows of 1 or 2
+  amplitudes on one column) on the transposed array.
+- `_rotating_locals_raw` applies a run on one column by ascending axis.
+  Each pass reads the leading axis's two contiguous halves and writes them
+  interleaved into a second buffer, so the next axis leads; the axes come
+  out rotated, and the plan records the rotation instead of undoing it.
+- `_permute_raw` materialises an order with one transposing copy: before
+  the Givens network of `_evolve_raw`, and at the end of a plan.
+
+`_mirror_raw`, the gather and phase behind `mirror_map`, keeps natural
+order.  No kernel calls BLAS, so a wide batch of columns never meets a
+multi-threaded product.
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -150,7 +165,7 @@ def random_state(layout: Layout, seed=None, core_weight: int | None = None) -> S
         mask = np.repeat(weights == core_weight, rest)
         amps = np.where(mask, amps, 0.0)
         if not np.any(mask):
-            raise ValueError(f"no core states of weight {core_weight}")
+            raise InvalidStateError(f"no core states of weight {core_weight}")
     return StateVector(layout, amps / np.linalg.norm(amps))
 
 
@@ -257,18 +272,10 @@ def _mirror_raw(arr: np.ndarray, n_sites: int, phases: np.ndarray) -> np.ndarray
     """Closed-form mirror inversion: gather the site-reversed core index, then phase it.
 
     The reversal is an involution that keeps the weight, so the gather and
-    the phase table share one index.  Costs O(2^M); no rotations.  The
-    phases multiply in place along the longer axis: column by column while
-    the core axis is the longer one (one amplitude column has 2^(M-N)
-    entries per core index), else as one broadcast over the rows.
+    the phase table share one index.  Costs O(2^M); no rotations.
     """
     out = np.take(arr.reshape(1 << n_sites, -1), _site_reversal(n_sites), axis=0)
-    if out.shape[1] < out.shape[0]:
-        for column in out.T:
-            column *= phases
-    else:
-        out *= phases[:, None]
-    return out.reshape(arr.shape)
+    return _phase_raw(out, (1 << n_sites, -1), phases[:, None]).reshape(arr.shape)
 
 
 def _local_in_place(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) -> None:
@@ -324,10 +331,76 @@ def _locals_raw(arr: np.ndarray, run: Sequence[tuple[int, np.ndarray]]) -> np.nd
     return out.reshape(arr.shape)
 
 
-def _swap_raw(arr: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
-    shape = arr.shape
-    tensor = arr.reshape([2] * n_qubits + [shape[1]])
-    return np.swapaxes(tensor, a, b).reshape(shape)
+def _rotating_locals_raw(arr: np.ndarray, passes: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
+    """A run of 2x2 unitaries on one column, by ascending axis, rotating the axes as it goes.
+
+    Each pass reads the leading axis's two contiguous halves and writes the
+    new rows interleaved into the other of two buffers (`arr` and one new
+    array), so that axis becomes the last and the next one leads.  Axes the
+    run skips are rotated past with one transposing copy per gap.  The
+    result holds old axis a on axis (a - shift) mod M, where shift is the
+    last pass's axis + 1; its values are bit for bit those of one
+    `_local_in_place` per entry of `passes`, in that order.
+    """
+    half = arr.size // 2
+    src, dst = arr.reshape(-1), np.empty(arr.size, dtype=arr.dtype)
+    first, product = np.empty((2, half), dtype=arr.dtype)
+    lead = 0
+    for axis, u in passes:
+        if axis > lead:
+            dst.reshape(-1, 1 << (axis - lead))[...] = src.reshape(1 << (axis - lead), -1).T
+            src, dst = dst, src
+        top, bottom = src.reshape(2, half)
+        pairs = dst.reshape(half, 2).T
+        if u[0, 1] == 0 and u[1, 0] == 0:
+            np.multiply(top, u[0, 0], out=pairs[0])
+            np.multiply(bottom, u[1, 1], out=pairs[1])
+        else:
+            for row, out in enumerate(pairs):
+                np.multiply(top, u[row, 0], out=first)
+                np.multiply(u[row, 1], bottom, out=product)
+                np.add(first, product, out=out)
+        src, dst, lead = dst, src, axis + 1
+    return src.reshape(arr.shape)
+
+
+def _phase_blocks(phases: np.ndarray, chain_axes: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The array's block shape and `phases` viewed to broadcast over it, for `_phase_raw`.
+
+    Runs of consecutive axes that hold chain sites, or that do not, each
+    merge into one block, and the axes after the last chain axis into the
+    columns.  The table's bits go to the chain axes in ascending order,
+    which is exact because the phase depends only on the weight.
+    """
+    held = set(chain_axes)
+    arr_shape, table_shape = [], []
+    for is_chain, block in groupby(range(max(held) + 1), key=held.__contains__):
+        size = 1 << len(list(block))
+        arr_shape.append(size)
+        table_shape.append(size if is_chain else 1)
+    return (*arr_shape, -1), phases.reshape(*table_shape, 1)
+
+
+def _phase_raw(arr: np.ndarray, shape: tuple[int, ...], phases: np.ndarray) -> np.ndarray:
+    """Multiply in place by `phases` broadcast over the `shape` view of `arr`.
+
+    A last axis of more than one entry that is shorter than the block before
+    it (a trailing ancilla on one column) is looped over, so each multiply
+    runs along that block instead.
+    """
+    view = arr.reshape(shape)
+    if 1 < view.shape[-1] < view.shape[-2]:
+        for j in range(view.shape[-1]):
+            view[..., j] *= phases[..., 0]
+    else:
+        view *= phases
+    return arr
+
+
+def _permute_raw(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """The amplitudes with qubit q on axis q, read from axis order[q]: one transposing copy."""
+    tensor = arr.reshape([2] * len(order) + [-1])
+    return tensor.transpose(*order, len(order)).reshape(arr.shape)
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -347,7 +420,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 
 def _check_evolution(profile: CouplingProfile, n_sites: int, times) -> None:
     if profile.n_sites != n_sites:
-        raise ValueError(f"profile has {profile.n_sites} sites but layout has {n_sites}")
+        raise InvalidLayoutError(f"profile has {profile.n_sites} sites but layout has {n_sites}")
     energies = _block_eigensystems(profile)[0]  # |t sum_k E_k n_k| <= |t| sum_k |E_k|
     if not math.isfinite(float(np.max(np.abs(times), initial=0.0)) * float(np.sum(np.abs(energies)))):
         raise NonFiniteTimeError(f"evolution time and its mode phases must be finite, got {times}")
@@ -369,7 +442,7 @@ def evolution_overlaps(
     each t then costs one phase table and a dot product.
     """
     if bra.layout != ket.layout:
-        raise ValueError("states live on different layouts")
+        raise InvalidLayoutError("states live on different layouts")
     times = np.asarray(times, dtype=float)
     _check_evolution(profile, ket.layout.core_sites, times)
     energies, rotations = _block_eigensystems(profile)
@@ -414,7 +487,7 @@ def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     """Apply a single-qubit unitary at global position `qubit`."""
     u = _check_unitary(u)
     if not 0 <= qubit < state.layout.total_qubits:
-        raise ValueError(f"qubit {qubit} outside 0..{state.layout.total_qubits - 1}")
+        raise InvalidInstructionError(f"qubit {qubit} outside 0..{state.layout.total_qubits - 1}")
     amps = _locals_raw(state.amplitudes[:, None].copy(), ((qubit, u),))
     return StateVector(state.layout, amps[:, 0])
 
@@ -423,15 +496,17 @@ def swap_qubits(state: StateVector, a: int, b: int) -> StateVector:
     """Exact SWAP of two global qubit positions."""
     total = state.layout.total_qubits
     if a == b:
-        raise ValueError("swap requires two distinct qubits")
+        raise InvalidInstructionError("swap requires two distinct qubits")
     if not (0 <= a < total and 0 <= b < total):
-        raise ValueError(f"qubits {a}, {b} outside 0..{total - 1}")
-    amps = _swap_raw(state.amplitudes[:, None], total, a, b)
+        raise InvalidInstructionError(f"qubits {a}, {b} outside 0..{total - 1}")
+    order = list(range(total))
+    order[a], order[b] = b, a
+    amps = _permute_raw(state.amplitudes[:, None], order)
     return StateVector(state.layout, amps[:, 0])
 
 
 def fidelity_up_to_global_phase(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, insensitive to a global phase on either state."""
     if a.layout != b.layout:
-        raise ValueError("states live on different layouts")
+        raise InvalidLayoutError("states live on different layouts")
     return float(abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)

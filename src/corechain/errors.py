@@ -53,4 +53,4 @@ class InvalidInstructionError(ValueError):
 
 
 class InvalidLayoutError(ValueError):
-    """A register layout has a negative count or no core site."""
+    """A register layout has a negative count or no core site, or two layouts (or a layout and a profile) do not match."""

@@ -10,8 +10,15 @@ unitaries with all qubits restored to their original locations.
 
 Programs are plain instruction sequences (applied in list order, first
 instruction first) over a fixed layout.  Execution is pure: a program is
-lowered once per chain into a plan of :mod:`corechain.dynamics` kernel calls
-(see :func:`_plan`), which every caller runs.
+lowered once per chain, and once for one amplitude column or for a wider
+batch, into a plan of :mod:`corechain.dynamics` kernel calls (see
+:func:`_plan`), which every caller runs.  The plan carries a qubit order,
+the array axis that holds each qubit, so the paper's store-core swaps and
+the site reversal of each mirror cost no amplitude move: only the mirror's
+phase multiply and the local gates touch the array, on the axes the order
+names.  A transpose to natural order precedes each Givens-network evolution
+and ends the plan, so `execute`, `program_unitary` and the CLI's blocks all
+see amplitudes in natural order.
 """
 
 from __future__ import annotations
@@ -28,7 +35,9 @@ import numpy as np
 from . import dynamics
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
 from .dynamics import Layout, StateVector, _check_unitary, apply_local
-from .errors import InvalidInstructionError, NonFiniteTimeError, UnsupportedConfigurationError
+from .errors import (
+    InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, UnsupportedConfigurationError,
+)
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -135,53 +144,83 @@ def _relocated_locations(layout: Layout, control: int) -> tuple[tuple[int, int],
 _Step = Callable[[np.ndarray], np.ndarray]
 
 
-def _evolve_step(profile: CouplingProfile, duration: float, n_sites: int) -> _Step:
-    """The closed-form mirror where it is exact, else the Givens network over the modes."""
+def _mirror_table(profile: CouplingProfile, duration: float, n_sites: int) -> np.ndarray | None:
+    """The closed-form mirror's weight phases where it is exact, else None for the Givens network."""
     if profile.n_sites != n_sites:
-        raise ValueError("profile does not match the program layout")
+        raise InvalidLayoutError("profile does not match the program layout")
     if duration > 0:
         certificate = mirror_certificate(profile, duration)  # refuses a period that overflows the phases
         if mirror_is_closed_form(profile, certificate):
-            phases = dynamics._mirror_phases(n_sites, certificate.phi_n)
-            return partial(dynamics._mirror_raw, n_sites=n_sites, phases=phases)
+            return dynamics._mirror_phases(n_sites, certificate.phi_n)
     dynamics._check_evolution(profile, n_sites, duration)
-    return partial(dynamics._evolve_raw, profile, duration)
+    return None
 
 
-def _fused_locals(run: Iterable[Local]) -> _Step:
-    """One step for a run of Locals: one 2x2 per qubit, since Locals on different qubits commute."""
+def _fused_locals(run: Iterable[Local]) -> dict[int, np.ndarray]:
+    """One 2x2 per qubit for a run of Locals, in first-seen order: Locals on different qubits commute."""
     fused: dict[int, np.ndarray] = {}
     for op in run:
         fused[op.qubit] = op.matrix @ fused[op.qubit] if op.qubit in fused else op.matrix
-    return partial(dynamics._locals_raw, run=tuple(fused.items()))
+    return fused
 
 
 @lru_cache(maxsize=64)
-def _plan(program: GateProgram, profile: CouplingProfile) -> tuple[_Step, ...]:
-    """Lower the program for one chain into kernel calls on the amplitude array."""
+def _plan(program: GateProgram, profile: CouplingProfile, one_column: bool) -> tuple[_Step, ...]:
+    """Lower the program for one chain into kernel calls on the amplitude array.
+
+    `order[q]` is the array axis that holds qubit q.  A Swap exchanges two
+    entries and a closed-form mirror reverses the chain's entries after its
+    phase multiply, so neither moves an amplitude.  A run of Locals on one
+    column rotates the axes and the order records the rotation; a wider
+    batch runs in place on the qubits' current axes, in first-seen order.
+    The order is materialised before a Givens network and at the end, so
+    every caller sees natural order.
+    """
     layout = program.layout
+    n_sites, natural = layout.core_sites, tuple(range(layout.total_qubits))
+    order = list(natural)
     steps: list[_Step] = []
-    evolutions: dict[float, _Step] = {}  # one certificate and phase table per duration
+    tables: dict[float, np.ndarray | None] = {}  # one certificate and phase table per duration
+
+    def materialise():
+        nonlocal order
+        if tuple(order) != natural:
+            steps.append(partial(dynamics._permute_raw, order=tuple(order)))
+            order = list(natural)
+
     for is_local, run in groupby(program.instructions, key=lambda op: isinstance(op, Local)):
         if is_local:
-            steps.append(_fused_locals(run))
+            fused = [(order[q], u) for q, u in _fused_locals(run).items()]
+            if one_column:
+                fused.sort(key=lambda entry: entry[0])
+                steps.append(partial(dynamics._rotating_locals_raw, passes=tuple(fused)))
+                shift = fused[-1][0] + 1
+                order = [(axis - shift) % len(order) for axis in order]
+            else:
+                steps.append(partial(dynamics._locals_raw, run=tuple(fused)))
             continue
         for op in run:
-            if isinstance(op, FreeEvolve):
-                if op.duration not in evolutions:
-                    evolutions[op.duration] = _evolve_step(profile, op.duration, layout.core_sites)
-                steps.append(evolutions[op.duration])
+            if isinstance(op, Swap):
+                a, b = layout.core_position(op.core_site), op.partner
+                order[a], order[b] = order[b], order[a]
+                continue
+            if op.duration not in tables:
+                tables[op.duration] = _mirror_table(profile, op.duration, n_sites)
+            phases = tables[op.duration]
+            if phases is None:
+                materialise()
+                steps.append(partial(dynamics._evolve_raw, profile, op.duration))
             else:
-                position = layout.core_position(op.core_site)
-                steps.append(
-                    partial(dynamics._swap_raw, n_qubits=layout.total_qubits, a=position, b=op.partner)
-                )
+                shape, view = dynamics._phase_blocks(phases, order[:n_sites])
+                steps.append(partial(dynamics._phase_raw, shape=shape, phases=view))
+                order[:n_sites] = order[n_sites - 1 :: -1]
+    materialise()
     return tuple(steps)
 
 
 def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray) -> np.ndarray:
-    """Apply the program's plan to every column of `arr`."""
-    for step in _plan(program, profile):
+    """Apply the program's plan to every column of `arr`; the result is in natural order."""
+    for step in _plan(program, profile, arr.shape[1] == 1):
         arr = step(arr)
     return arr
 
@@ -189,7 +228,7 @@ def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray) -> np.
 def execute(program: GateProgram, profile: CouplingProfile, state: StateVector) -> StateVector:
     """Run the program on `state`; free evolutions use `profile`."""
     if state.layout != program.layout:
-        raise ValueError("state layout does not match the program layout")
+        raise InvalidLayoutError("state layout does not match the program layout")
     return StateVector(program.layout, _run(program, profile, state.amplitudes[:, None].copy())[:, 0])
 
 
@@ -416,7 +455,7 @@ def cat_state_program(n_sites: int, tau: float = math.pi) -> tuple[GateProgram, 
     from .chain import zero_phase_profile
 
     if n_sites < 2:
-        raise ValueError(f"need at least 2 sites, got {n_sites}")
+        raise UnsupportedConfigurationError(f"need at least 2 sites, got {n_sites}")
     layout = Layout(n_sites, ancilla_count=1)
     # theta = phi = 0 reflection is X
     program = controlled_reflection_program(

@@ -323,8 +323,8 @@ def _dense_or_diagonal(rng, k):
 KERNEL_SHAPES = [(m, cols) for m in range(2, 17) for cols in (1, 3, 1 << max(1, 17 - m))]
 
 
-def _passes_in_own_order(arr, run):
-    """One `_local_in_place` per qubit on a copy, never transposed: the run kernel's reference."""
+def _passes_in_order(arr, run):
+    """One `_local_in_place` per entry of `run`, in order, on a copy never transposed: the kernels' reference."""
     expected = arr.copy()
     scratch = np.empty((2, arr.size // 2), dtype=arr.dtype)
     for qubit, u in run:
@@ -345,10 +345,38 @@ class TestKernels:
         orders = ([*map(int, rng.permutation(m - 1)), m - 1], [*range(1, m), 0])
         for order in orders:
             run = tuple((q, _dense_or_diagonal(rng, k)) for k, q in enumerate(order))
-            assert np.array_equal(dynamics._locals_raw(arr.copy(), run), _passes_in_own_order(arr, run))
+            assert np.array_equal(dynamics._locals_raw(arr.copy(), run), _passes_in_order(arr, run))
         for qubit, u in run:  # one-entry runs, as apply_local makes them
             single = dynamics._locals_raw(arr.copy(), ((qubit, u),))
-            assert np.array_equal(single, _passes_in_own_order(arr, ((qubit, u),)))
+            assert np.array_equal(single, _passes_in_order(arr, ((qubit, u),)))
+
+    @pytest.mark.parametrize("m", range(2, 17))
+    def test_rotating_run_equals_passes_by_ascending_axis(self, m):
+        rng = np.random.default_rng(m)
+        arr = rng.standard_normal((1 << m, 1)) + 1j * rng.standard_normal((1 << m, 1))
+        arr.flags.writeable = False
+        # every axis; a run that skips the leading axis and leaves gaps; one on the last axis
+        for axes in (range(m), sorted(rng.choice(range(1, m), (m + 1) // 2, replace=False)), [m - 1]):
+            run = tuple((int(axis), _dense_or_diagonal(rng, k)) for k, axis in enumerate(axes))
+            shift = run[-1][0] + 1  # the kernel leaves old axis a on axis (a - shift) mod m
+            expected = _passes_in_order(arr, run).reshape([2] * m)
+            expected = expected.transpose(*((a + shift) % m for a in range(m))).reshape(arr.shape)
+            assert np.array_equal(dynamics._rotating_locals_raw(arr.copy(), run), expected)
+
+    @pytest.mark.parametrize("m, cols", [(2, 1), (5, 1), (9, 1), (9, 3), (9, 64), (13, 1)])
+    def test_phase_over_chain_axes_equals_phase_by_core_index(self, m, cols):
+        rng = np.random.default_rng([m, cols])
+        arr = rng.standard_normal((1 << m, cols)) + 1j * rng.standard_normal((1 << m, cols))
+        for n in {1, m - 1, m} - {0}:
+            phases = dynamics._mirror_phases(n, 0.37)
+            for chain in (range(n), range(m - n, m), sorted(rng.choice(m, n, replace=False))):
+                # the same array with the chain's axes first, where the table indexes the core
+                rest = [a for a in range(m) if a not in chain]
+                gathered = arr.reshape([2] * m + [cols]).transpose(*chain, *rest, m).reshape(1 << n, -1)
+                shape, table = dynamics._phase_blocks(phases, list(chain))
+                out = dynamics._phase_raw(arr.copy(), shape, table)
+                out = out.reshape([2] * m + [cols]).transpose(*chain, *rest, m).reshape(1 << n, -1)
+                assert np.array_equal(out, gathered * phases[:, None])
 
     def test_run_before_cut_writes_into_its_argument(self):
         arr = np.zeros((1 << 10, 1), dtype=np.complex128)

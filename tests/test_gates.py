@@ -30,6 +30,8 @@ from corechain import (
     controlled_reflection_program,
     controlled_unitary_program,
     controlled_z_program,
+    evolution_overlaps,
+    evolve,
     execute,
     fidelity_up_to_global_phase,
     mirror_certificate,
@@ -37,7 +39,9 @@ from corechain import (
     phase_gate,
     program_unitary,
     qft_program,
+    random_state,
     reflection_conjugator,
+    swap_qubits,
     zero_phase_profile,
 )
 
@@ -120,11 +124,45 @@ class TestProgramValidation:
                 InvalidInstructionError,
                 "the control site carries no target",
             ),
+            (lambda: apply_local(StateVector.zero(Layout(2)), 2, PAULI_X), InvalidInstructionError, "qubit 2 outside 0..1"),
+            (lambda: swap_qubits(StateVector.zero(Layout(2)), 1, 1), InvalidInstructionError, "two distinct qubits"),
+            (lambda: swap_qubits(StateVector.zero(Layout(2)), 0, 2), InvalidInstructionError, "qubits 0, 2 outside 0..1"),
+            (
+                lambda: execute(GateProgram((), Layout(2)), zero_phase_profile(2), StateVector.zero(Layout(3))),
+                InvalidLayoutError,
+                "state layout does not match the program layout",
+            ),
+            (
+                lambda: program_unitary(GateProgram((FreeEvolve(math.pi),), Layout(2)), zero_phase_profile(3)),
+                InvalidLayoutError,
+                "profile does not match the program layout",
+            ),
+            (
+                lambda: evolve(zero_phase_profile(3), StateVector.zero(Layout(2)), 1.0),
+                InvalidLayoutError,
+                "profile has 3 sites but layout has 2",
+            ),
+            (
+                lambda: evolution_overlaps(
+                    zero_phase_profile(2), StateVector.zero(Layout(2)), StateVector.zero(Layout(2, 1)), [1.0]
+                ),
+                InvalidLayoutError,
+                "states live on different layouts",
+            ),
+            (
+                lambda: fidelity_up_to_global_phase(StateVector.zero(Layout(2)), StateVector.zero(Layout(3))),
+                InvalidLayoutError,
+                "states live on different layouts",
+            ),
+            (lambda: random_state(Layout(2), core_weight=3), InvalidStateError, "no core states of weight 3"),
+            (lambda: cat_state_program(1), UnsupportedConfigurationError, "need at least 2 sites, got 1"),
         ],
         ids=[
             "basis-bits", "no-core-site", "negative-ancillas", "core-position", "ancilla-position",
             "store-position", "control-range", "composite-ancilla", "qft-ancilla", "unitary-control-target",
-            "reflection-control-target",
+            "reflection-control-target", "local-qubit-range", "swap-same-qubit", "swap-qubit-range",
+            "execute-layout", "plan-profile", "evolve-profile", "overlap-layouts", "fidelity-layouts",
+            "empty-weight", "cat-sites",
         ],
     )
     def test_plain_value_errors_are_named(self, build, error, message):

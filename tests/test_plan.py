@@ -40,28 +40,33 @@ def negated(profile):
     return CouplingProfile(profile.n_sites, tuple(-w for w in profile.omegas), profile.lambdas)
 
 
-def kernels(program, profile):
-    return [step.func.__name__ for step in gates._plan(program, profile)]
+def kernels(program, profile, one_column=True):
+    return [step.func.__name__ for step in gates._plan(program, profile, one_column)]
+
+
+# a closed-form mirror is a phase multiply and a relabel, so a lone one ends on the transpose
+MIRROR = ["_phase_raw", "_permute_raw"]
+NETWORK = ["_evolve_raw"]
 
 
 @pytest.mark.parametrize(
     "profile, duration, kernel",
     [
-        pytest.param(zero_phase_profile(4), math.pi, "_mirror_raw", id="zero_phase4-pi"),
-        pytest.param(christandl_profile(4), math.pi, "_mirror_raw", id="christandl4-pi"),
-        pytest.param(RECON5, math.pi, "_mirror_raw", id="recon5-pi"),
-        pytest.param(zero_phase_profile(4), OFF_PERIOD, "_evolve_raw", id="zero_phase4-off"),
-        pytest.param(zero_phase_profile(4), 2 * math.pi, "_evolve_raw", id="zero_phase4-2pi"),
-        pytest.param(zero_phase_profile(4), -math.pi, "_evolve_raw", id="zero_phase4-minus_pi"),
-        pytest.param(negated(zero_phase_profile(4)), math.pi, "_evolve_raw", id="negated4-pi"),
-        pytest.param(negated(zero_phase_profile(6)), math.pi, "_evolve_raw", id="negated6-pi"),
-        pytest.param(negated(christandl_profile(5)), math.pi, "_evolve_raw", id="negated5-pi"),
+        pytest.param(zero_phase_profile(4), math.pi, MIRROR, id="zero_phase4-pi"),
+        pytest.param(christandl_profile(4), math.pi, MIRROR, id="christandl4-pi"),
+        pytest.param(RECON5, math.pi, MIRROR, id="recon5-pi"),
+        pytest.param(zero_phase_profile(4), OFF_PERIOD, NETWORK, id="zero_phase4-off"),
+        pytest.param(zero_phase_profile(4), 2 * math.pi, NETWORK, id="zero_phase4-2pi"),
+        pytest.param(zero_phase_profile(4), -math.pi, NETWORK, id="zero_phase4-minus_pi"),
+        pytest.param(negated(zero_phase_profile(4)), math.pi, NETWORK, id="negated4-pi"),
+        pytest.param(negated(zero_phase_profile(6)), math.pi, NETWORK, id="negated6-pi"),
+        pytest.param(negated(christandl_profile(5)), math.pi, NETWORK, id="negated5-pi"),
     ],
 )
 def test_free_evolve_matches_evolve(profile, duration, kernel):
     layout = Layout(profile.n_sites, ancilla_count=1)
     program = GateProgram((FreeEvolve(duration),), layout)
-    assert kernels(program, profile) == [kernel]
+    assert kernels(program, profile) == kernels(program, profile, one_column=False) == kernel
     state = random_state(layout, seed=7)
     np.testing.assert_allclose(
         execute(program, profile, state).amplitudes,
@@ -87,12 +92,22 @@ def test_locals_fuse_per_qubit_between_other_instructions():
         ),
         layout,
     )
-    plan = gates._plan(program, zero_phase_profile(3))
-    assert kernels(program, zero_phase_profile(3)) == [
-        "_locals_raw", "_mirror_raw", "_locals_raw", "_swap_raw", "_locals_raw",
+    profile = zero_phase_profile(3)
+    # the swap only relabels, but still ends a run; the mirror's reversal moves qubit 2 to axis 0
+    assert kernels(program, profile, one_column=False) == [
+        "_locals_raw", "_phase_raw", "_locals_raw", "_locals_raw", "_permute_raw",
     ]
-    runs = [[q for q, _ in step.keywords["run"]] for step in plan if "run" in step.keywords]
-    assert runs == [[0, 1], [2], [2]]  # one step per run, one 2x2 per qubit in first-seen order
+    wide = gates._plan(program, profile, False)
+    runs = [[axis for axis, _ in step.keywords["run"]] for step in wide if "run" in step.keywords]
+    assert runs == [[0, 1], [0], [0]]  # one step per run, one 2x2 per qubit in first-seen order
+    assert kernels(program, profile) == [
+        "_rotating_locals_raw", "_phase_raw", "_rotating_locals_raw", "_rotating_locals_raw", "_permute_raw",
+    ]
+    one_column = gates._plan(program, profile, True)
+    passes = [[axis for axis, _ in step.keywords["passes"]] for step in one_column if "passes" in step.keywords]
+    # ascending axes: each run rotates the axes left by its last axis + 1, so qubit 2
+    # sits on axis 2 after the first run and the mirror, and on axis 3 after its own run
+    assert passes == [[0, 1], [2], [3]]
     assert program.local_count == 7  # fusion lives in the plan only
 
 
@@ -125,17 +140,30 @@ def programs(draw, n):
     total = layout.total_qubits
     ops = []
     for _ in range(draw(st.integers(1, 14))):
-        choice = draw(st.sampled_from(["local", "local", "run", "swap", "evolve"]))
+        choice = draw(st.sampled_from(["local", "local", "run", "swap", "evolve", "reversal", "relabelled"]))
         if choice == "local":
             ops.append(Local(draw(st.integers(0, total - 1)), draw(unitaries())))
         elif choice == "run":  # Locals on consecutive qubits, often through the last one
             first = draw(st.integers(0, total - 1))
             last = draw(st.sampled_from([total - 1, draw(st.integers(first, total - 1))]))
             ops += [Local(q, draw(unitaries())) for q in range(first, last + 1)]
-        elif choice == "swap":
+        elif choice == "swap":  # to a store slot half the time, when there is one
             site = draw(st.integers(1, n))
             partners = [p for p in range(total) if p != site - 1]
+            if store and draw(st.booleans()):
+                partners = [layout.store_position(k) for k in range(store)]
             ops.append(Swap(site, draw(st.sampled_from(partners))))
+        elif choice == "reversal":  # the QFT's bit-reversal finisher, through a spare qubit if any
+            for site in range(1, n // 2 + 1):
+                mirror = layout.mirror_site(site)
+                if total > n:
+                    ops += [Swap(site, total - 1), Swap(mirror, total - 1), Swap(site, total - 1)]
+                else:
+                    ops.append(Swap(site, mirror - 1))
+        elif choice == "relabelled":  # the Givens network between relabelling steps
+            site = draw(st.integers(1, n))
+            partners = [p for p in range(total) if p != site - 1]
+            ops += [FreeEvolve(math.pi), Swap(site, draw(st.sampled_from(partners))), FreeEvolve(OFF_PERIOD)]
         else:
             ops.append(FreeEvolve(draw(st.sampled_from([math.pi, math.pi, OFF_PERIOD]))))
     return GateProgram(tuple(ops), layout)
@@ -170,6 +198,10 @@ def test_random_programs_match_dense_oracle(name, data, seed):
     state = random_state(program.layout, seed=seed)
     out = execute(program, profile, state).amplitudes
     assert np.max(np.abs(out - reference @ state.amplitudes)) <= 1e-9
+
+    # three columns take the in-place passes, like program_unitary, but on a narrow batch
+    batch = np.random.default_rng(seed).standard_normal((program.layout.dim, 3)).astype(complex)
+    assert np.max(np.abs(gates._run(program, profile, batch.copy()) - reference @ batch)) <= 1e-9
 
     columns = [
         execute(program, profile, StateVector(program.layout, column)).amplitudes
