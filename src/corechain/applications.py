@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Layout
-from .errors import UnsupportedConfigurationError
+from .errors import InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, UnsupportedConfigurationError
 from .gates import (
     FreeEvolve,
     GateProgram,
@@ -52,9 +52,9 @@ class PauliString:
     def __post_init__(self):
         axes = tuple(str(a).lower() for a in self.axes)
         if not axes or any(a not in AXES for a in axes):
-            raise ValueError(f"axes must be drawn from {AXES}")
+            raise InvalidInstructionError(f"axes must be drawn from {AXES}")
         if all(a == "i" for a in axes):
-            raise ValueError("a Pauli string needs at least one involved site")
+            raise InvalidInstructionError("a Pauli string needs at least one involved site")
         object.__setattr__(self, "axes", axes)
 
     @classmethod
@@ -124,7 +124,7 @@ def ancilla_pauli_program(
     cost: eight free evolutions and four swaps for any weight.
     """
     if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+        raise NonFiniteTimeError(f"dt must be finite, got {dt}")
     n_data = mask.n_sites
     layout = Layout(n_data + 1, ancilla_count=1)
     parity = layout.core_position(1)
@@ -160,7 +160,7 @@ def direct_pauli_program(mask: PauliString, dt: float, tau: float = math.pi) -> 
     zero-phase chain.
     """
     if not math.isfinite(dt):
-        raise ValueError(f"dt must be finite, got {dt}")
+        raise NonFiniteTimeError(f"dt must be finite, got {dt}")
     if len(mask.involved) != mask.n_sites:
         raise UnsupportedConfigurationError(
             "the direct construction needs every data site involved; "
@@ -204,14 +204,19 @@ class TrotterPlan:
     def __post_init__(self):
         terms = tuple((mask, float(c)) for mask, c in self.terms)
         if not terms:
-            raise ValueError("a plan needs at least one term")
+            raise UnsupportedConfigurationError("a plan needs at least one term")
         sizes = {mask.n_sites for mask, _ in terms}
         if len(sizes) != 1:
-            raise ValueError("all terms must act on the same number of data sites")
+            raise UnsupportedConfigurationError("all terms must act on the same number of data sites")
         if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+            raise UnsupportedConfigurationError(f"dt must be positive, got {self.dt}")
+        if not math.isfinite(self.dt):
+            raise NonFiniteTimeError(f"dt must be finite, got {self.dt}")
+        for k, (_, c) in enumerate(terms):
+            if not math.isfinite(c * float(self.dt)):  # the term's phase angle
+                raise NonFiniteTimeError(f"term {k} coefficient times dt must be finite, got {c} * {self.dt}")
         if self.steps < 1:
-            raise ValueError(f"steps must be at least 1, got {self.steps}")
+            raise UnsupportedConfigurationError(f"steps must be at least 1, got {self.steps}")
         object.__setattr__(self, "terms", terms)
 
     @property
@@ -259,11 +264,11 @@ def qft_program(
     swaps.
     """
     if n < 1:
-        raise ValueError(f"need at least 1 site, got {n}")
+        raise InvalidLayoutError(f"need at least 1 site, got {n}")
     if layout is None:
         layout = Layout(n, ancilla_count=1)
     if layout.core_sites != n:
-        raise ValueError(f"layout has {layout.core_sites} core sites, expected {n}")
+        raise InvalidLayoutError(f"layout has {layout.core_sites} core sites, expected {n}")
     if layout.ancilla_count < 1:
         raise UnsupportedConfigurationError("the QFT program needs an ancilla")
 

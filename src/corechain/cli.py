@@ -79,19 +79,6 @@ def _align_phase(actual: np.ndarray, target: np.ndarray) -> np.ndarray:
     return actual * (reference / abs(reference)) * (abs(pivot) / pivot)
 
 
-def _data_block(
-    program: gates.GateProgram, profile: chain.CouplingProfile | None, first: int, count: int
-) -> np.ndarray:
-    """Program block on the adjacent qubits first..first+count-1, all others held in |0>.
-
-    Only the 2^count identity columns the block reads are run, not the whole unitary.
-    """
-    columns = np.arange(1 << count) * (1 << (program.layout.total_qubits - first - count))
-    identity = np.zeros((program.layout.dim, columns.size), dtype=np.complex128)
-    identity[columns, np.arange(columns.size)] = 1.0
-    return gates._run(program, profile, identity)[columns]
-
-
 def _check_block(block: np.ndarray, target: np.ndarray, name: str) -> int:
     """Print the largest deviation from `target` up to a global phase; 1 above 1e-8."""
     deviation = float(np.max(np.abs(_align_phase(block, target) - target)))
@@ -203,9 +190,9 @@ def _cmd_qft(args) -> int:
         return _fail(f"--check builds a dense unitary and is capped at 10 sites, got {args.n}", 1)
     # a 1-site program has no free evolutions, so no chain is consulted
     profile = chain.zero_phase_profile(args.n) if args.n >= 2 else None
-    block = _data_block(program, profile, program.layout.core_position(1), args.n)
-    if not args.bit_reversal:
-        block = block[dynamics._site_reversal(args.n)]
+    block = gates._block(program, profile, program.layout.core_position(1), args.n)
+    if not args.bit_reversal:  # the output is bit-reversed: reverse the block's rows
+        block = dynamics._permute_raw(block, range(args.n - 1, -1, -1))
     return _check_block(block, _dft_matrix(args.n), "DFT")
 
 
@@ -222,7 +209,7 @@ def _cmd_hamsim(args) -> int:
         return _fail(f"--check capped at 6 data sites, got {mask.n_sites}", 1)
     profile = chain.zero_phase_profile(program.layout.core_sites)
     # data site j sits on chain site j + 1, after the parity site
-    block = _data_block(program, profile, program.layout.core_position(2), mask.n_sites)
+    block = gates._block(program, profile, program.layout.core_position(2), mask.n_sites)
     # the string squares to the identity, so its exponential is closed-form
     string = mask.dense()
     target = math.cos(args.dt) * np.eye(string.shape[0]) - 1j * math.sin(args.dt) * string

@@ -18,7 +18,7 @@ adjacent Givens rotations and a +-1 diagonal, and each rotation on sites
 by the phases exp(-i t sum_k E_k n_k), rotate back.  No block is ever
 diagonalized and no propagator is built.  Where a period is certified on a
 positive-coupling chain, the same evolution is the closed-form mirror map,
-an O(2^M) gather and phase; gate programs take that kernel there.
+an O(2^M) phase and site reversal; gate programs take those kernels there.
 Everything here is pure: operations return new states and never mutate
 their inputs.
 
@@ -27,8 +27,8 @@ Kernels
 The `_*_raw` functions are the kernel layer that public operations and
 lowered gate programs (:func:`corechain.gates._plan`) run on.  Each takes the
 amplitudes as a C-contiguous (2^M, columns) array, may write into it, and
-returns the result; `gates.execute`, `evolve` and `apply_local` copy a
-StateVector's read-only amplitudes first.  Viewed as a tensor with M axes
+returns the result; `gates.execute`, `evolve`, `mirror_map` and
+`apply_local` copy a StateVector's read-only amplitudes first.  Viewed as a tensor with M axes
 of 2 and one of columns, the array need not hold qubit q on axis q: a plan
 carries the order, the axis that holds each qubit, so a swap and the site
 reversal of a mirror step move no amplitude.
@@ -36,17 +36,16 @@ reversal of a mirror step move no amplitude.
 - `_phase_raw` multiplies by the weight phases of a certified mirror step,
   one 2^N table broadcast over the axes that hold the chain.
 - `_locals_raw` applies a run of single-qubit unitaries as in-place
-  two-row passes on the axes it is given, the last ones (rows of 1 or 2
-  amplitudes on one column) on the transposed array.
+  two-row passes on the axes it is given.
 - `_rotating_locals_raw` applies a run on one column by ascending axis.
   Each pass reads the leading axis's two contiguous halves and writes them
   interleaved into a second buffer, so the next axis leads; the axes come
   out rotated, and the plan records the rotation instead of undoing it.
 - `_permute_raw` materialises an order with one transposing copy: before
-  the Givens network of `_evolve_raw`, and at the end of a plan.
+  the Givens network of `_evolve_raw`, at the end of a plan, and as the
+  site reversal of `mirror_map`.
 
-`_mirror_raw`, the gather and phase behind `mirror_map`, keeps natural
-order.  No kernel calls BLAS, so a wide batch of columns never meets a
+No kernel calls BLAS, so a wide batch of columns never meets a
 multi-threaded product.
 """
 
@@ -189,14 +188,6 @@ def _core_weights(n_sites: int) -> np.ndarray:
     return weights
 
 
-@lru_cache(maxsize=32)
-def _site_reversal(n_sites: int) -> np.ndarray:
-    """Core index of the site-reversed image of each core index."""
-    reversal = _core_bits(n_sites) @ (1 << np.arange(n_sites))
-    reversal.flags.writeable = False
-    return reversal
-
-
 @lru_cache(maxsize=16)
 def _block_eigensystems(profile: CouplingProfile):
     """J's mode energies E and the Givens rotations that carry sites to modes.
@@ -268,16 +259,6 @@ def _mirror_phases(n_sites: int, phi_n: float) -> np.ndarray:
     return np.exp(-1j * n * phi_n) * ((-1.0) ** ((weights - (weights & 1)) // 2))
 
 
-def _mirror_raw(arr: np.ndarray, n_sites: int, phases: np.ndarray) -> np.ndarray:
-    """Closed-form mirror inversion: gather the site-reversed core index, then phase it.
-
-    The reversal is an involution that keeps the weight, so the gather and
-    the phase table share one index.  Costs O(2^M); no rotations.
-    """
-    out = np.take(arr.reshape(1 << n_sites, -1), _site_reversal(n_sites), axis=0)
-    return _phase_raw(out, (1 << n_sites, -1), phases[:, None]).reshape(arr.shape)
-
-
 def _local_in_place(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) -> None:
     """Two-row pass of a 2x2 unitary on the (2^qubit, 2, rest) view, written into `arr`.
 
@@ -306,29 +287,11 @@ def _local_in_place(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndar
 
 
 def _locals_raw(arr: np.ndarray, run: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """A run of 2x2 unitaries on distinct qubits, applied in order as two-row passes.
-
-    Qubit q's pass has a leading axis of 2^q and a trailing axis of
-    size / 2^(q+1).  From qubit `cut` (half the bits of the size) on, the
-    trailing axis is the shorter one (1 or 2 for the last qubits of one
-    column), so those qubits run on the transposed (2^cut, rest) copy
-    instead: there q sits at q - cut and its trailing axis is 2^cut times
-    longer.  Every pass writes into `arr` or that copy: a second full array
-    made the allocator trim and re-fault its heap on every run of a wide
-    column batch.  Transposes only move amplitudes, so the result is one
-    `_local_in_place` per qubit bit for bit.
-    """
-    cut = arr.size.bit_length() // 2
+    """A run of 2x2 unitaries on distinct qubits, applied in order as in-place two-row passes."""
     scratch = np.empty((2, min(arr.size // 2, _PASS_BLOCK)), dtype=arr.dtype)
-    out, leading = arr, True  # leading: the amplitudes in their own order
     for qubit, u in run:
-        if (qubit < cut) != leading:
-            out = (out.reshape(1 << cut, -1) if leading else out.reshape(-1, 1 << cut)).T.copy()
-            leading = not leading
-        _local_in_place(out, qubit if leading else qubit - cut, u, scratch)
-    if not leading:
-        out = out.reshape(-1, 1 << cut).T.copy()
-    return out.reshape(arr.shape)
+        _local_in_place(arr, qubit, u, scratch)
+    return arr
 
 
 def _rotating_locals_raw(arr: np.ndarray, passes: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
@@ -475,11 +438,16 @@ def mirror_map(state: StateVector, phi_n: float) -> StateVector:
     """Closed-form mirror inversion of the core.
 
     Each core component of weight n picks up exp(-i n phi_n) (-1)^((n-m)/2)
-    with m = n mod 2 and lands on the site-reversed configuration.  Costs
-    O(2^M); no matrix exponential.
+    with m = n mod 2 and lands on the site-reversed configuration: the
+    phase multiply and relabel of a plan's mirror step, made on natural
+    order with one transposing copy.  Costs O(2^M); no matrix exponential.
     """
     n_sites = state.layout.core_sites
-    amps = _mirror_raw(state.amplitudes[:, None], n_sites, _mirror_phases(n_sites, phi_n))
+    if not math.isfinite(float(phi_n) * n_sites):  # the largest weight phase, n_sites phi_n
+        raise NonFiniteTimeError(f"phi_n and its weight phases must be finite, got {phi_n}")
+    phases = _mirror_phases(n_sites, phi_n)[:, None]
+    amps = _phase_raw(state.amplitudes[:, None].copy(), (1 << n_sites, -1), phases)
+    amps = _permute_raw(amps, range(n_sites - 1, -1, -1))
     return StateVector(state.layout, amps[:, 0])
 
 

@@ -45,7 +45,7 @@ class NonUnitaryError(ValueError):
 
 
 class NonFiniteTimeError(ValueError):
-    """An evolution time is NaN or infinite, or overflows the phases of the chain's modes."""
+    """An evolution time or a phase is NaN or infinite, or overflows the phases of the chain's modes."""
 
 
 class InvalidInstructionError(ValueError):

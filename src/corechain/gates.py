@@ -36,7 +36,8 @@ from . import dynamics
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
 from .dynamics import Layout, StateVector, _check_unitary, apply_local
 from .errors import (
-    InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, UnsupportedConfigurationError,
+    InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, NonUnitaryError,
+    UnsupportedConfigurationError,
 )
 
 IDENTITY_2 = np.eye(2, dtype=np.complex128)
@@ -48,6 +49,8 @@ HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
 def phase_gate(phi: float) -> np.ndarray:
     """R(phi) = diag(1, e^{i phi})."""
+    if not math.isfinite(phi):
+        raise NonUnitaryError(f"phase angle phi must be finite, got {phi}")
     return np.array([[1, 0], [0, cmath.exp(1j * phi)]], dtype=np.complex128)
 
 
@@ -232,9 +235,23 @@ def execute(program: GateProgram, profile: CouplingProfile, state: StateVector) 
     return StateVector(program.layout, _run(program, profile, state.amplitudes[:, None].copy())[:, 0])
 
 
+def _block(program: GateProgram, profile: CouplingProfile | None, first: int, count: int) -> np.ndarray:
+    """The program's block on the adjacent qubits first..first+count-1, every other qubit in |0>.
+
+    Only the 2^count identity columns the block reads are run.  Their
+    indices, and the rows returned, step by 2^(qubits after the block), so
+    the rows are a strided view of the result.
+    """
+    stride = 1 << (program.layout.total_qubits - first - count)
+    rows = slice(0, stride << count, stride)
+    identity = np.zeros((program.layout.dim, 1 << count), dtype=np.complex128)
+    np.fill_diagonal(identity[rows], 1.0)
+    return _run(program, profile, identity)[rows]
+
+
 def program_unitary(program: GateProgram, profile: CouplingProfile) -> np.ndarray:
     """Dense unitary of the whole program over the full layout."""
-    return _run(program, profile, np.eye(program.layout.dim, dtype=np.complex128))
+    return _block(program, profile, 0, program.layout.total_qubits)
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +315,8 @@ def reflection_conjugator(theta: float, phi: float) -> np.ndarray:
     The reflection is [[sin t, e^{i p} cos t], [e^{-i p} cos t, -sin t]];
     theta = pi/2 gives Z itself, theta = phi = 0 gives X.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise NonUnitaryError(f"reflection angles theta and phi must be finite, got {theta}, {phi}")
     reflection = np.array(
         [
             [math.sin(theta), cmath.exp(1j * phi) * math.cos(theta)],

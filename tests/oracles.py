@@ -76,6 +76,17 @@ def bit_reversed(index, n_qubits):
     return int(format(index, f"0{n_qubits}b")[::-1], 2)
 
 
+def site_reversal(n_sites):
+    """Core index of the site-reversed image of each core index, one index at a time."""
+    return np.array([bit_reversed(s, n_sites) for s in range(1 << n_sites)])
+
+
+def mirror_gather(amplitudes, n_sites, phases):
+    """Mirror image of a register: core index s reads core index site_reversal[s], times phases[s]."""
+    core = np.asarray(amplitudes).reshape(1 << n_sites, -1)
+    return (core[site_reversal(n_sites)] * phases[:, None]).reshape(-1)
+
+
 def bit_reversal_matrix(n_qubits):
     dim = 1 << n_qubits
     perm = np.zeros((dim, dim))

@@ -25,13 +25,15 @@ from corechain import (
     ancilla_pauli_program,
     christandl_profile,
     direct_pauli_program,
+    execute,
     program_unitary,
     qft_program,
     serialize,
     zero_phase_profile,
 )
 from corechain.chain import MAX_CHAIN_SITES
-from corechain.cli import _data_block, main
+from corechain import gates
+from corechain.cli import main
 
 import oracles
 
@@ -414,7 +416,7 @@ class TestRobustness:
 
 
 # ---------------------------------------------------------------------------
-# the dense checks read only the columns they compare
+# the dense checks read only the columns they compare, through the gates block runner
 
 
 @pytest.mark.parametrize("bit_reversal", [False, True])
@@ -424,7 +426,7 @@ def test_qft_data_block_matches_full_unitary(n, bit_reversal):
     profile = zero_phase_profile(n) if n >= 2 else None
     positions = [program.layout.core_position(s) for s in range(1, n + 1)]
     expected = oracles.data_block(program_unitary(program, profile), program.layout, positions)
-    assert np.array_equal(_data_block(program, profile, positions[0], n), expected)
+    assert np.array_equal(gates._block(program, profile, positions[0], n), expected)
 
 
 @pytest.mark.parametrize(
@@ -443,7 +445,33 @@ def test_hamsim_data_block_matches_full_unitary(build, mask):
     profile = zero_phase_profile(program.layout.core_sites)
     positions = [program.layout.core_position(s + 1) for s in range(1, len(mask) + 1)]
     expected = oracles.data_block(program_unitary(program, profile), program.layout, positions)
-    assert np.array_equal(_data_block(program, profile, positions[0], len(mask)), expected)
+    assert np.array_equal(gates._block(program, profile, positions[0], len(mask)), expected)
+
+
+# chain sites, ancilla and store: the whole register, a leading, a middle and a trailing block
+@pytest.mark.parametrize("first, count", [(0, 5), (0, 3), (1, 3), (2, 3), (4, 1)])
+def test_block_matches_one_column_runs(first, count):
+    layout = Layout(3, ancilla_count=1, store_sites=1)
+    profile = christandl_profile(3)
+    program = GateProgram(
+        (
+            Local(0, HADAMARD),
+            FreeEvolve(math.pi),
+            Swap(3, layout.store_position(0)),
+            Local(4, HADAMARD),
+            FreeEvolve(0.7),
+            Swap(1, layout.ancilla_position(0)),
+            FreeEvolve(math.pi),
+        ),
+        layout,
+    )
+    # the one-column plan, column by column, against the wide batch of the block runner
+    columns = [
+        execute(program, profile, StateVector(layout, column)).amplitudes
+        for column in np.eye(layout.dim, dtype=complex)
+    ]
+    expected = oracles.data_block(np.column_stack(columns), layout, range(first, first + count))
+    assert np.max(np.abs(gates._block(program, profile, first, count) - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

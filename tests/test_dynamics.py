@@ -378,12 +378,12 @@ class TestKernels:
                 out = out.reshape([2] * m + [cols]).transpose(*chain, *rest, m).reshape(1 << n, -1)
                 assert np.array_equal(out, gathered * phases[:, None])
 
-    def test_run_before_cut_writes_into_its_argument(self):
+    def test_run_writes_into_its_argument(self):
         arr = np.zeros((1 << 10, 1), dtype=np.complex128)
         arr[0] = 1.0
-        out = dynamics._locals_raw(arr, tuple((q, HADAMARD) for q in range(5)))  # cut = 5
+        out = dynamics._locals_raw(arr, tuple((q, HADAMARD) for q in range(10)))
         assert np.shares_memory(out, arr)
-        assert_allclose(np.abs(out[::32, 0]), np.full(32, 2**-2.5))
+        assert_allclose(np.abs(out[:, 0]), np.full(1 << 10, 2**-5))
 
     def test_public_operations_leave_the_state_alone(self):
         layout = Layout(4, ancilla_count=1)
@@ -396,19 +396,16 @@ class TestKernels:
         execute(hadamards, profile, state)  # the plan starts with a run of Locals
         execute(GateProgram((FreeEvolve(0.7),), layout), profile, state)  # and with the network
         evolve(profile, state, 0.7)
-        for qubit in (1, 4):  # before and after the transpose cut
+        for qubit in (1, 4):  # a chain site and the ancilla
             apply_local(state, qubit, PAULI_Y)
         assert np.array_equal(state.amplitudes, saved)
 
-    @pytest.mark.parametrize("n", [2, 5, 12])
-    @pytest.mark.parametrize("rest", [1, 2, 3, 64])
-    def test_mirror_take_equals_fancy_index_gather(self, n, rest):
-        rng = np.random.default_rng([n, rest])
-        arr = rng.standard_normal((1 << n, rest)) + 1j * rng.standard_normal((1 << n, rest))
-        phases = dynamics._mirror_phases(n, 0.37)
-        expected = arr[dynamics._site_reversal(n)]
-        expected *= phases[:, None]
-        assert np.array_equal(dynamics._mirror_raw(arr, n, phases), expected)
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    @pytest.mark.parametrize("ancillas, stores", [(0, 0), (1, 0), (0, 1), (1, 3)])
+    def test_mirror_map_equals_gather_and_phase(self, n, ancillas, stores):
+        state = random_state(Layout(n, ancillas, stores), seed=[n, ancillas, stores])
+        expected = oracles.mirror_gather(state.amplitudes, n, dynamics._mirror_phases(n, 0.37))
+        assert np.array_equal(mirror_map(state, 0.37).amplitudes, expected)
 
 
 class TestLocals:
@@ -488,9 +485,10 @@ class TestCoreTables:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_weights_and_site_reversal(self, n):
         weights = [bin(s).count("1") for s in range(1 << n)]
-        reversal = [int(format(s, f"0{n}b")[::-1], 2) for s in range(1 << n)]
         assert dynamics._core_weights(n).tolist() == weights
-        assert dynamics._site_reversal(n).tolist() == reversal
+        # the relabel that mirror_map and `qft --check` make, on the core indices themselves
+        reversed_indices = dynamics._permute_raw(np.arange(1 << n)[:, None], range(n - 1, -1, -1))
+        assert reversed_indices[:, 0].tolist() == oracles.site_reversal(n).tolist()
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_block_eigensystems_bit_identical(self, n):

@@ -19,22 +19,27 @@ from corechain import (
     NonFiniteTimeError,
     NonUnitaryError,
     PAULI_X,
+    PauliString,
     PAULI_Z,
     StateVector,
     Swap,
     TargetSpec,
+    TrotterPlan,
     UnsupportedConfigurationError,
     abc_decompose,
+    ancilla_pauli_program,
     apply_local,
     cat_state_program,
     controlled_reflection_program,
     controlled_unitary_program,
     controlled_z_program,
+    direct_pauli_program,
     evolution_overlaps,
     evolve,
     execute,
     fidelity_up_to_global_phase,
     mirror_certificate,
+    mirror_map,
     phase_correction,
     phase_gate,
     program_unitary,
@@ -46,6 +51,8 @@ from corechain import (
 )
 
 import oracles
+
+ZZ = PauliString.from_string("zz")
 
 
 def run_z(profile, n, x, bits, phi_n=0.0):
@@ -156,13 +163,81 @@ class TestProgramValidation:
             ),
             (lambda: random_state(Layout(2), core_weight=3), InvalidStateError, "no core states of weight 3"),
             (lambda: cat_state_program(1), UnsupportedConfigurationError, "need at least 2 sites, got 1"),
+            (lambda: PauliString(("z", "q")), InvalidInstructionError, "axes must be drawn from"),
+            (lambda: PauliString.from_string("ii"), InvalidInstructionError, "needs at least one involved site"),
+            (lambda: ancilla_pauli_program(ZZ, math.inf), NonFiniteTimeError, "dt must be finite, got inf"),
+            (lambda: direct_pauli_program(ZZ, math.nan), NonFiniteTimeError, "dt must be finite, got nan"),
+            (lambda: TrotterPlan((), 0.1, 1), UnsupportedConfigurationError, "a plan needs at least one term"),
+            (
+                lambda: TrotterPlan(((ZZ, 1.0), (PauliString.from_string("z"), 1.0)), 0.1, 1),
+                UnsupportedConfigurationError,
+                "all terms must act on the same number of data sites",
+            ),
+            (lambda: TrotterPlan(((ZZ, 1.0),), 0.0, 1), UnsupportedConfigurationError, "dt must be positive, got 0.0"),
+            (lambda: TrotterPlan(((ZZ, 1.0),), 0.1, 0), UnsupportedConfigurationError, "steps must be at least 1, got 0"),
+            (lambda: TrotterPlan(((ZZ, 1.0),), math.inf, 1), NonFiniteTimeError, "dt must be finite, got inf"),
+            (
+                lambda: TrotterPlan(((ZZ, 1.0), (ZZ, math.inf)), 0.1, 1),
+                NonFiniteTimeError,
+                "term 1 coefficient times dt must be finite, got inf * 0.1",
+            ),
+            (
+                lambda: TrotterPlan(((ZZ, math.nan),), 0.1, 1),
+                NonFiniteTimeError,
+                "term 0 coefficient times dt must be finite, got nan * 0.1",
+            ),
+            (
+                lambda: TrotterPlan(((ZZ, 1e200),), np.float64(1e200), 1),
+                NonFiniteTimeError,
+                "term 0 coefficient times dt must be finite, got 1e+200 * 1e+200",
+            ),
+            (lambda: qft_program(0), InvalidLayoutError, "need at least 1 site, got 0"),
+            (lambda: qft_program(3, Layout(2, 1)), InvalidLayoutError, "layout has 2 core sites, expected 3"),
+            (
+                lambda: mirror_map(StateVector.zero(Layout(2, 1)), math.inf),
+                NonFiniteTimeError,
+                "phi_n and its weight phases must be finite, got inf",
+            ),
+            (
+                lambda: mirror_map(StateVector.zero(Layout(2)), math.nan),
+                NonFiniteTimeError,
+                "phi_n and its weight phases must be finite, got nan",
+            ),
+            (
+                lambda: mirror_map(StateVector.zero(Layout(2)), 1e308),  # 2 phi_n overflows
+                NonFiniteTimeError,
+                "phi_n and its weight phases must be finite, got 1e+308",
+            ),
+            (lambda: phase_gate(math.inf), NonUnitaryError, "phase angle phi must be finite, got inf"),
+            (lambda: phase_gate(math.nan), NonUnitaryError, "phase angle phi must be finite, got nan"),
+            (
+                lambda: reflection_conjugator(math.inf, 0.0),
+                NonUnitaryError,
+                "reflection angles theta and phi must be finite, got inf, 0.0",
+            ),
+            (
+                lambda: reflection_conjugator(math.nan, 0.0),
+                NonUnitaryError,
+                "reflection angles theta and phi must be finite, got nan, 0.0",
+            ),
+            (
+                lambda: reflection_conjugator(0.3, -math.inf),
+                NonUnitaryError,
+                "reflection angles theta and phi must be finite, got 0.3, -inf",
+            ),
         ],
         ids=[
             "basis-bits", "no-core-site", "negative-ancillas", "core-position", "ancilla-position",
             "store-position", "control-range", "composite-ancilla", "qft-ancilla", "unitary-control-target",
             "reflection-control-target", "local-qubit-range", "swap-same-qubit", "swap-qubit-range",
             "execute-layout", "plan-profile", "evolve-profile", "overlap-layouts", "fidelity-layouts",
-            "empty-weight", "cat-sites",
+            "empty-weight", "cat-sites", "pauli-axes", "pauli-identity", "ancilla-pauli-dt",
+            "direct-pauli-dt", "trotter-terms", "trotter-sizes", "trotter-dt", "trotter-steps",
+            "trotter-dt-inf", "trotter-coefficient-inf", "trotter-coefficient-nan", "trotter-phase-overflow",
+            "qft-sites",
+            "qft-layout", "mirror-phase-inf", "mirror-phase-nan", "mirror-phase-overflow",
+            "phase-gate-inf", "phase-gate-nan", "reflection-theta-inf", "reflection-theta-nan",
+            "reflection-phi-inf",
         ],
     )
     def test_plain_value_errors_are_named(self, build, error, message):
