@@ -18,7 +18,8 @@ from .chain import CERTIFICATE_TOL, CouplingProfile, mirror_certificate, mirror_
 from .chain import require_valid_profile
 # unused here, `evolve` stays bound: benchmarks/tracing.py wraps analysis.evolve
 from .dynamics import StateVector, evolution_overlaps, evolve, mirror_map  # noqa: F401
-from .errors import InsufficientDataError, InvalidCertificateError
+from .errors import InsufficientDataError, InvalidCertificateError, InvalidLayoutError, NonFiniteTimeError
+from .errors import UnsupportedConfigurationError
 from .gates import GateProgram
 
 
@@ -44,10 +45,12 @@ class CostReport:
 
 
 def cost_of_program(program: GateProgram, tau: float) -> CostReport:
-    """Exact instruction census; core time is tau per free evolution."""
+    """Exact instruction census; core time is tau per free evolution, and must be finite."""
     if not 0 < tau < math.inf:  # also refuses NaN
         raise ValueError(f"tau must be positive and finite, got {tau}")
     free = program.free_evolution_count
+    if not math.isfinite(tau * free):
+        raise NonFiniteTimeError(f"core time tau * free evolutions must be finite, got {tau} * {free}")
     return CostReport(free, program.swap_count, program.local_count, core_time=tau * free)
 
 
@@ -76,36 +79,6 @@ def switched_transfer_time(profile: CouplingProfile) -> TransferTimeReport:
     return TransferTimeReport(total, bound)
 
 
-def _switched_qft_schedule(n: int) -> tuple[int, int, int]:
-    """Enumerate the switched QFT schedule: (swap events, phase events, depth).
-
-    Brick pattern: alternating layers of disjoint adjacent transpositions
-    walk every lighter-indexed qubit rightward past every heavier one, so
-    each of the C(n,2) control/target pairs meets exactly once; its
-    controlled phase is applied at the meeting (one extra on-interval) and
-    the crossing swap is one more.  Depth counts layers, phases included.
-    """
-    order = list(range(n))
-    swap_events = 0
-    phase_events = 0
-    depth = 0
-    moved = True
-    while moved:
-        moved = False
-        for start in (0, 1):
-            layer_used = False
-            for p in range(start, n - 1, 2):
-                if order[p] < order[p + 1]:
-                    phase_events += 1  # controlled phase between the meeting pair
-                    order[p], order[p + 1] = order[p + 1], order[p]
-                    swap_events += 1
-                    layer_used = True
-                    moved = True
-            if layer_used:
-                depth += 2  # phase layer followed by swap layer
-    return swap_events, phase_events, depth
-
-
 def qft_core_census(n: int) -> CostReport:
     """Closed-form census of the core QFT program.
 
@@ -115,12 +88,11 @@ def qft_core_census(n: int) -> CostReport:
     and lets cost sweeps run past the dense-simulation qubit cap.
     """
     if n < 1:
-        raise ValueError(f"need at least 1 qubit, got {n}")
-    locals_ = n + sum(3 * (n - x) + 1 for x in range(1, n))
+        raise InvalidLayoutError(f"need at least 1 qubit, got {n}")
     return CostReport(
         free_evolutions=4 * (n - 1),
         swaps=2 * (n - 1),
-        local_ops=locals_,
+        local_ops=n + (n - 1) * (3 * n + 2) // 2,
         core_time=math.pi * 4 * (n - 1),
     )
 
@@ -128,17 +100,24 @@ def qft_core_census(n: int) -> CostReport:
 def switched_qft_cost(n: int) -> CostReport:
     """Compare the QFT on the core against the fully-switched baseline.
 
-    Core side: the program census (4(n-1) evolutions, 2(n-1) swaps).
-    Switched side: `switch_events` from the enumerated brick schedule, which
-    grows as n(n-1); the core's evolution-plus-swap count grows linearly.
-    Times take omega_max = n/4 for the switched baseline, matching the
-    linear-spectrum chain's strongest coupling.
+    Core side: the program census (4(n-1) evolutions, 2(n-1) swaps).  Switched
+    side, in closed form: alternating layers of disjoint adjacent swaps reverse
+    the qubit order, each of the C(n,2) pairs crossing once, as one swap plus
+    one on-interval for its controlled phase, so `switch_events` is n(n-1)
+    against the core's linear evolution-plus-swap count.  A layer (phases, then
+    swaps) counts twice in the depth; the reversal takes n layers for n >= 3:
+    odd-even transposition sort needs at most n (Habermann 1972, "Parallel
+    neighbor-sort").  For odd n, layer 1 skips the last position, where the
+    largest label starts, so it reaches position 0 no earlier than layer n;
+    for even n, layer 1 moves label n-2 to position n-1, which layer 2 skips,
+    so it is back at position 1 no earlier than layer n.  Label 0 moves in
+    each of layers 1..n-1, so no layer is empty.  n = 2 takes one layer and
+    n = 1 none.  Times take omega_max = n/4 for the switched baseline,
+    matching the linear-spectrum chain's strongest coupling.
     """
-    swap_events, phase_events, depth = _switched_qft_schedule(n)
+    depth = 2 * n if n > 2 else 2 * (n - 1)
     interval = math.pi / (2.0 * (n / 4.0)) if n > 1 else 0.0
-    return replace(
-        qft_core_census(n), switch_events=swap_events + phase_events, switched_time=depth * interval
-    )
+    return replace(qft_core_census(n), switch_events=n * (n - 1), switched_time=depth * interval)
 
 
 def quadratic_fit_residual(ns, events) -> tuple[float, float]:
@@ -169,7 +148,7 @@ def steane_concat_cost(levels: int) -> ConcatCost:
     so its elementary-operation count grows 7-fold per level.
     """
     if levels < 0:
-        raise ValueError(f"levels must be nonnegative, got {levels}")
+        raise UnsupportedConfigurationError(f"levels must be nonnegative, got {levels}")
     targets = 7**levels
     return ConcatCost(
         levels=levels,
@@ -222,18 +201,19 @@ def robustness_fit(
 ) -> RobustnessReport:
     """Log-log slope of the timing error over a delta_t sweep.
 
-    Needs at least three samples spanning a decade, all at most 0.1.
-    Samples with error below 1e-14 are excluded as numerically empty; if
-    fewer than three remain the fit is refused.
+    Needs at least three samples spanning a decade, all positive, finite and
+    at most 0.1; a sweep that falls short of any of these raises
+    InsufficientDataError.  Samples with error below 1e-14 are excluded as
+    numerically empty; if fewer than three remain the fit is refused the same way.
     """
     dts = [float(dt) for dt in delta_ts]
     if len(dts) < 3:
-        raise ValueError("need at least 3 delta_t samples")
+        raise InsufficientDataError("need at least 3 delta_t samples")
     bad = [dt for dt in dts if not 0 < dt <= 0.1 + 1e-12]  # NaN fails every comparison
     if bad:
-        raise ValueError(f"delta_t samples must be positive, finite and at most 1e-1, got {bad[0]}")
+        raise InsufficientDataError(f"delta_t samples must be positive, finite and at most 1e-1, got {bad[0]}")
     if max(dts) / min(dts) < 10.0 - 1e-9:
-        raise ValueError("delta_t samples must span at least a decade")
+        raise InsufficientDataError("delta_t samples must span at least a decade")
 
     errors = _timing_errors(profile, state, tau, phi_n, dts)
     kept = [(dt, e) for dt, e in zip(dts, errors) if e >= 1e-14]

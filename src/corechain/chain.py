@@ -154,7 +154,7 @@ def christandl_profile(n_sites: int) -> CouplingProfile:
     for odd N, pi for even N (see :func:`zero_phase_profile`).
     """
     if n_sites < 2:
-        raise ValueError(f"need at least 2 sites, got {n_sites}")
+        raise InvalidProfileError(f"need at least 2 sites, got {n_sites}")
     _check_site_count(n_sites)
     n = n_sites
     omegas = tuple(math.sqrt(j * (n - j)) / 2.0 for j in range(1, n))
@@ -277,53 +277,59 @@ def reconstruct_profile(spectrum: Spectrum) -> CouplingProfile:
     energies = np.asarray(spectrum.energies, dtype=float)
     n = energies.size
     if n < 2:
-        raise ValueError(f"need at least 2 energies, got {n}")
+        raise ReconstructionInfeasibleError(f"need at least 2 energies, got {n}")
     _check_site_count(n)
     nonfinite = _nonfinite_sites(energies)
     if nonfinite:
         raise ReconstructionInfeasibleError(
             f"spectrum has non-finite energies at k={list(nonfinite)}"
         )
-    if np.any(np.diff(energies) <= 0.0):
+    if np.any(energies[1:] <= energies[:-1]):  # no subtraction, so no overflow
         raise ReconstructionInfeasibleError(
             "spectrum must be strictly increasing: chains with positive "
             "couplings have simple single-excitation spectra"
         )
 
-    diffs = energies[:, None] - energies[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    log_pprime = np.sum(np.log(np.abs(diffs)), axis=1)
-    weights = np.exp(-(log_pprime - log_pprime.min()))  # largest weight is 1
-    weights /= weights.sum()
+    try:  # a spectrum too wide for float64 overflows here, not in a later profile check
+        with np.errstate(over="raise", invalid="raise"):
+            diffs = energies[:, None] - energies[None, :]
+            np.fill_diagonal(diffs, 1.0)
+            log_pprime = np.sum(np.log(np.abs(diffs)), axis=1)
+            weights = np.exp(-(log_pprime - log_pprime.min()))  # largest weight is 1
+            weights /= weights.sum()
 
-    scale = max(1.0, float(np.max(np.abs(energies))))
-    breakdown = 1e-12 * scale
-    q = np.sqrt(weights)
-    basis = np.zeros((n, n))
-    alphas = np.zeros(n)
-    betas = np.zeros(n - 1)
-    for j in range(n):
-        basis[:, j] = q
-        r = energies * q
-        alphas[j] = q @ r
-        r = r - alphas[j] * q
-        if j > 0:
-            r = r - betas[j - 1] * basis[:, j - 1]
-        # reorthogonalize twice against everything built so far
-        for _ in range(2):
-            r = r - basis[:, : j + 1] @ (basis[:, : j + 1].T @ r)
-        if j == n - 1:
-            break
-        beta = float(np.linalg.norm(r))
-        if beta <= breakdown:
-            raise IllConditionedError(
-                f"recurrence broke down at coupling index {j + 1} (norm {beta:.3g})",
-                index=j + 1,
-            )
-        betas[j] = beta
-        q = r / beta
+            scale = max(1.0, float(np.max(np.abs(energies))))
+            breakdown = 1e-12 * scale
+            q = np.sqrt(weights)
+            basis = np.zeros((n, n))
+            alphas = np.zeros(n)
+            betas = np.zeros(n - 1)
+            for j in range(n):
+                basis[:, j] = q
+                r = energies * q
+                alphas[j] = q @ r
+                r = r - alphas[j] * q
+                if j > 0:
+                    r = r - betas[j - 1] * basis[:, j - 1]
+                # reorthogonalize twice against everything built so far
+                for _ in range(2):
+                    r = r - basis[:, : j + 1] @ (basis[:, : j + 1].T @ r)
+                if j == n - 1:
+                    break
+                beta = float(np.linalg.norm(r))
+                if beta <= breakdown:
+                    raise IllConditionedError(
+                        f"recurrence broke down at coupling index {j + 1} (norm {beta:.3g})",
+                        index=j + 1,
+                    )
+                betas[j] = beta
+                q = r / beta
 
-    # persymmetry holds in exact arithmetic; enforce it against round-off
-    omegas = 0.5 * (betas + betas[::-1])
-    lambdas = 0.5 * (alphas + alphas[::-1])
+            # persymmetry holds in exact arithmetic; enforce it against round-off
+            omegas = 0.5 * (betas + betas[::-1])
+            lambdas = 0.5 * (alphas + alphas[::-1])
+    except FloatingPointError as exc:
+        raise ReconstructionInfeasibleError(
+            f"spectrum {energies[0]:.6g} .. {energies[-1]:.6g} overflows the inverse-design recurrence ({exc})"
+        ) from None
     return CouplingProfile(n, tuple(omegas), tuple(lambdas))

@@ -220,7 +220,7 @@ def _block_eigensystems(profile: CouplingProfile):
 def _block_propagators(profile: CouplingProfile, t: float) -> np.ndarray:
     # the dense core unitary for full_propagator only: the network on the identity columns.
     # 8 entries of up to 256 MB (12 sites); the benchmark reads this cache's counters
-    u = _evolve_raw(profile, t, np.eye(1 << profile.n_sites, dtype=np.complex128))
+    u = _evolve_raw(_block_eigensystems(profile), t, np.eye(1 << profile.n_sites, dtype=np.complex128))
     u.flags.writeable = False
     return u
 
@@ -241,10 +241,10 @@ def _rotate(arr: np.ndarray, n_core: int, rotations, back: bool = False) -> None
         pair[...] = (g.T if back else g) @ pair
 
 
-def _evolve_raw(profile: CouplingProfile, t: float, arr: np.ndarray) -> np.ndarray:
-    """exp(-i H t) on the core factor, in place: into the mode basis, phase, and back."""
-    energies, rotations = _block_eigensystems(profile)
-    n_core = profile.n_sites
+def _evolve_raw(eigensystem, t: float, arr: np.ndarray) -> np.ndarray:
+    """exp(-i H t) from a `_block_eigensystems` entry, in place: into the mode basis, phase, and back."""
+    energies, rotations = eigensystem
+    n_core = len(energies)
     core = np.reshape(arr, (1 << n_core, -1), copy=False)
     _rotate(core, n_core, rotations)
     core *= np.exp(-1j * float(t) * (_core_bits(n_core) @ energies))[:, None]
@@ -381,18 +381,20 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 # public operations
 
 
-def _check_evolution(profile: CouplingProfile, n_sites: int, times) -> None:
+def _check_evolution(profile: CouplingProfile, n_sites: int, times):
+    """The chain's eigensystem, once the layout matches and every time keeps the mode phases finite."""
     if profile.n_sites != n_sites:
         raise InvalidLayoutError(f"profile has {profile.n_sites} sites but layout has {n_sites}")
-    energies = _block_eigensystems(profile)[0]  # |t sum_k E_k n_k| <= |t| sum_k |E_k|
-    if not math.isfinite(float(np.max(np.abs(times), initial=0.0)) * float(np.sum(np.abs(energies)))):
+    eigensystem = _block_eigensystems(profile)  # |t sum_k E_k n_k| <= |t| sum_k |E_k|
+    if not math.isfinite(float(np.max(np.abs(times), initial=0.0)) * float(np.sum(np.abs(eigensystem[0])))):
         raise NonFiniteTimeError(f"evolution time and its mode phases must be finite, got {times}")
+    return eigensystem
 
 
 def evolve(profile: CouplingProfile, state: StateVector, t: float) -> StateVector:
     """Apply exp(-i H t) to the core factor; ancilla and store are untouched."""
-    _check_evolution(profile, state.layout.core_sites, t)
-    amps = _evolve_raw(profile, t, state.amplitudes[:, None].copy())
+    eigensystem = _check_evolution(profile, state.layout.core_sites, t)
+    amps = _evolve_raw(eigensystem, t, state.amplitudes[:, None].copy())
     return StateVector(state.layout, amps[:, 0])
 
 
@@ -407,8 +409,7 @@ def evolution_overlaps(
     if bra.layout != ket.layout:
         raise InvalidLayoutError("states live on different layouts")
     times = np.asarray(times, dtype=float)
-    _check_evolution(profile, ket.layout.core_sites, times)
-    energies, rotations = _block_eigensystems(profile)
+    energies, rotations = _check_evolution(profile, ket.layout.core_sites, times)
     n_core = profile.n_sites
     modes = np.stack([bra.amplitudes, ket.amplitudes], axis=1)
     _rotate(modes, n_core, rotations)

@@ -212,7 +212,7 @@ def _plan(program: GateProgram, profile: CouplingProfile, one_column: bool) -> t
             phases = tables[op.duration]
             if phases is None:
                 materialise()
-                steps.append(partial(dynamics._evolve_raw, profile, op.duration))
+                steps.append(partial(dynamics._evolve_raw, dynamics._block_eigensystems(profile), op.duration))
             else:
                 shape, view = dynamics._phase_blocks(phases, order[:n_sites])
                 steps.append(partial(dynamics._phase_raw, shape=shape, phases=view))

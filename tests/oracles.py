@@ -159,3 +159,33 @@ def mirror_phase_profile(n, phase_pi):
     if top_is_odd != want_odd_top:
         base = CouplingProfile(n, base.omegas, tuple(v + 1.0 for v in base.lambdas))
     return base
+
+
+def switched_qft_schedule(n: int) -> tuple[int, int, int]:
+    """Enumerate the switched QFT schedule: (swap events, phase events, depth).
+
+    Brick pattern: alternating layers of disjoint adjacent transpositions
+    walk every lighter-indexed qubit rightward past every heavier one, so
+    each of the C(n,2) control/target pairs meets exactly once; its
+    controlled phase is applied at the meeting (one extra on-interval) and
+    the crossing swap is one more.  Depth counts layers, phases included.
+    """
+    order = list(range(n))
+    swap_events = 0
+    phase_events = 0
+    depth = 0
+    moved = True
+    while moved:
+        moved = False
+        for start in (0, 1):
+            layer_used = False
+            for p in range(start, n - 1, 2):
+                if order[p] < order[p + 1]:
+                    phase_events += 1  # controlled phase between the meeting pair
+                    order[p], order[p + 1] = order[p + 1], order[p]
+                    swap_events += 1
+                    layer_used = True
+                    moved = True
+            if layer_used:
+                depth += 2  # phase layer followed by swap layer
+    return swap_events, phase_events, depth

@@ -11,6 +11,7 @@ from corechain import (
     InsufficientDataError,
     InvalidCertificateError,
     Layout,
+    NonFiniteTimeError,
     PAULI_X,
     StateVector,
     TargetSpec,
@@ -19,6 +20,8 @@ from corechain import (
     cost_of_program,
     mirror_certificate,
     mirror_map,
+    qft_core_census,
+    qft_program,
     quadratic_fit_residual,
     random_state,
     reconstruct_profile,
@@ -48,6 +51,12 @@ class TestCostOfProgram:
         assert report.free_evolutions == 4
         assert report.swaps == 2
         assert report.core_time == pytest.approx(4 * math.pi)
+
+    def test_refuses_core_time_that_overflows(self):
+        program = qft_program(3)  # 8 free evolutions
+        assert cost_of_program(program, 1e307).core_time == 8e307
+        with pytest.raises(NonFiniteTimeError, match=r"got 1e\+308 \* 8"):
+            cost_of_program(program, 1e308)
 
 
 class TestTransferTime:
@@ -91,6 +100,14 @@ class TestSwitchedQft:
         for n in (2, 4, 8, 16):
             assert switched_qft_cost(n).switch_events == n * (n - 1)
 
+    def test_closed_forms_match_enumeration(self):
+        for n in range(1, 201):
+            swaps, phases, depth = oracles.switched_qft_schedule(n)
+            report = switched_qft_cost(n)
+            assert report.switch_events == swaps + phases
+            assert report.switched_time == depth * (math.pi / (2.0 * (n / 4.0)) if n > 1 else 0.0)
+            assert qft_core_census(n).local_ops == n + sum(3 * (n - x) + 1 for x in range(1, n))
+
     def test_quadratic_vs_linear_growth(self):
         e4 = switched_qft_cost(4)
         e8 = switched_qft_cost(8)
@@ -111,8 +128,6 @@ class TestSwitchedQft:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_census_formula_matches_builder(self, n):
-        from corechain import qft_core_census, qft_program
-
         built = cost_of_program(qft_program(n), math.pi)
         formula = qft_core_census(n)
         assert (formula.free_evolutions, formula.swaps, formula.local_ops) == (

@@ -227,6 +227,15 @@ class TestReconstruction:
         back = single_excitation_matrix(profile).eigenvalues()
         assert np.max(np.abs(back - np.array(energies))) <= 1e-8
 
+    @pytest.mark.parametrize("energies", [(0.0, 1e300, 1.5e308), (-1e200, 0.0, 1e200), (-1e308, 1e308)])
+    def test_overflowing_spectrum_is_named(self, energies):
+        with pytest.raises(ReconstructionInfeasibleError, match=r"^spectrum .* overflows the inverse-design recurrence"):
+            reconstruct_profile(Spectrum(energies))
+
+    def test_wide_spectrum_that_fits_still_designs(self):
+        profile = reconstruct_profile(Spectrum((0.0, 1e154, 3e154)))
+        assert validate_profile(profile).passed
+
     def test_ill_conditioned_reports_index(self):
         # an isolated far level underflows its spectral weight and starves the recurrence
         with pytest.raises(IllConditionedError) as err:

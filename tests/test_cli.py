@@ -365,6 +365,18 @@ class TestCost:
         code, _, err = run(capsys, "cost")
         assert code == 2
 
+    def test_qft_sweep_rows_are_closed_form(self, capsys):
+        code, out, _ = run(capsys, "cost", "--qft", "--n-range", "1..3000")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3001
+        n = 3000
+        counts = [n, 4 * (n - 1), 2 * (n - 1), n + (n - 1) * (3 * n + 2) // 2, 6 * (n - 1), n * (n - 1)]
+        times = [math.pi * 4 * (n - 1), 2 * n * (math.pi / (2.0 * (n / 4.0)))]
+        last = lines[-1].split(",")
+        assert last[:6] == [str(v) for v in counts]
+        assert [float(v) for v in last[6:]] == times  # the 17-digit cells read back exactly
+
     def test_csv_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run(capsys, "cost", "--qft", "--n-range", "2..8", "--out", str(a))
@@ -685,6 +697,24 @@ def state_with(first):
         (["gate", "--christandl", "4", "--kind", "cat", "--x", "9"], None, 1, "control site 9 outside 1..4"),
         (["gate", "--christandl", "3", "--kind", "z", "--x", "9"], None, 1, "control site 9 outside 1..3"),
         (["gate", "--christandl", "3", "--kind", "w", "--x", "9"], None, 1, "control site 9 outside 1..3"),
+        (
+            ["cost", "--tau", "1e308", "--program"],
+            json.dumps(serialize.program_to_dict(GateProgram((FreeEvolve(math.pi),) * 2, Layout(2)))),
+            1,
+            "core time tau * free evolutions must be finite, got 1e+308 * 2",
+        ),
+        (
+            ["design", "--spectrum"],
+            '{"energies": [0, 1e300, 1.5e308]}',
+            1,
+            "spectrum 0 .. 1.5e+308 overflows the inverse-design recurrence",
+        ),
+        (
+            ["design", "--spectrum"],
+            '{"energies": [-1e200, 0, 1e200]}',
+            1,
+            "spectrum -1e+200 .. 1e+200 overflows the inverse-design recurrence",
+        ),
     ],
 )
 def test_boundary_names_the_problem(tmp_path, argv, content, code, named):

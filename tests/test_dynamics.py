@@ -27,6 +27,7 @@ from corechain import (
     StateVector,
     apply_local,
     christandl_profile,
+    evolution_overlaps,
     evolve,
     execute,
     fidelity_up_to_global_phase,
@@ -164,6 +165,16 @@ class TestEvolve:
         assert dynamics._block_propagators.cache_info() == before  # currsize included
         expected = oracles.dense_propagator(profile, 0.913)
         assert np.max(np.abs(full_propagator(profile, 0.913).matrix - expected)) <= 1e-12
+
+    def test_each_evolution_looks_up_its_eigensystem_once(self):
+        profile = CouplingProfile(4, (0.58, 0.91, 0.58), (0.2, -0.3, -0.3, 0.2))
+        state = random_state(Layout(4), seed=6)
+        evolve(profile, state, 0.5)  # builds the eigensystem
+        before = dynamics._block_eigensystems.cache_info()
+        evolve(profile, state, 0.7)
+        evolution_overlaps(profile, state, state, [0.1, 0.2])
+        after = dynamics._block_eigensystems.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     def test_rejects_nonfinite_profile(self):
         profile = CouplingProfile(3, (1.0, 1.0), (math.inf, 1.0, math.inf))

@@ -11,8 +11,10 @@ from corechain import (
     FreeEvolve,
     GateProgram,
     HADAMARD,
+    InsufficientDataError,
     InvalidInstructionError,
     InvalidLayoutError,
+    InvalidProfileError,
     InvalidStateError,
     Layout,
     Local,
@@ -21,6 +23,8 @@ from corechain import (
     PAULI_X,
     PauliString,
     PAULI_Z,
+    ReconstructionInfeasibleError,
+    Spectrum,
     StateVector,
     Swap,
     TargetSpec,
@@ -30,6 +34,7 @@ from corechain import (
     ancilla_pauli_program,
     apply_local,
     cat_state_program,
+    christandl_profile,
     controlled_reflection_program,
     controlled_unitary_program,
     controlled_z_program,
@@ -43,9 +48,13 @@ from corechain import (
     phase_correction,
     phase_gate,
     program_unitary,
+    qft_core_census,
     qft_program,
     random_state,
+    reconstruct_profile,
     reflection_conjugator,
+    robustness_fit,
+    steane_concat_cost,
     swap_qubits,
     zero_phase_profile,
 )
@@ -53,6 +62,7 @@ from corechain import (
 import oracles
 
 ZZ = PauliString.from_string("zz")
+STATE4 = StateVector.basis(Layout(4), "1000")
 
 
 def run_z(profile, n, x, bits, phi_n=0.0):
@@ -225,6 +235,29 @@ class TestProgramValidation:
                 NonUnitaryError,
                 "reflection angles theta and phi must be finite, got 0.3, -inf",
             ),
+            (lambda: christandl_profile(1), InvalidProfileError, "need at least 2 sites, got 1"),
+            (
+                lambda: reconstruct_profile(Spectrum((0.0,))),
+                ReconstructionInfeasibleError,
+                "need at least 2 energies, got 1",
+            ),
+            (lambda: qft_core_census(0), InvalidLayoutError, "need at least 1 qubit, got 0"),
+            (
+                lambda: robustness_fit(christandl_profile(4), STATE4, math.pi, 0.0, [1e-1, 1e-2]),
+                InsufficientDataError,
+                "need at least 3 delta_t samples",
+            ),
+            (
+                lambda: robustness_fit(christandl_profile(4), STATE4, math.pi, 0.0, [0.5, 0.05, 0.005]),
+                InsufficientDataError,
+                "delta_t samples must be positive, finite and at most 1e-1, got 0.5",
+            ),
+            (
+                lambda: robustness_fit(christandl_profile(4), STATE4, math.pi, 0.0, [1e-1, 9e-2, 8e-2]),
+                InsufficientDataError,
+                "delta_t samples must span at least a decade",
+            ),
+            (lambda: steane_concat_cost(-1), UnsupportedConfigurationError, "levels must be nonnegative, got -1"),
         ],
         ids=[
             "basis-bits", "no-core-site", "negative-ancillas", "core-position", "ancilla-position",
@@ -237,7 +270,8 @@ class TestProgramValidation:
             "qft-sites",
             "qft-layout", "mirror-phase-inf", "mirror-phase-nan", "mirror-phase-overflow",
             "phase-gate-inf", "phase-gate-nan", "reflection-theta-inf", "reflection-theta-nan",
-            "reflection-phi-inf",
+            "reflection-phi-inf", "christandl-sites", "reconstruct-energies",
+            "census-sites", "robustness-samples", "robustness-range", "robustness-decade", "concat-levels",
         ],
     )
     def test_plain_value_errors_are_named(self, build, error, message):
