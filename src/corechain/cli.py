@@ -247,15 +247,20 @@ def _cmd_cost(args) -> int:
         if args.n_range is None:
             return _fail("cost --qft needs --n-range A..B", 2)
         header = ["n", *_QFT_COLUMNS]
-        rows = []
-        for n in range(args.n_range[0], args.n_range[1] + 1):
-            report = analysis.switched_qft_cost(n)
-            rows.append([n, *(getattr(report, name) for name in _QFT_COLUMNS.values())])
+        rows = _qft_cost_rows(*args.n_range)
     if args.out:
         serialize.write_csv(args.out, header, rows)
     else:
-        print("\n".join(serialize.csv_lines(header, rows)))
+        for line in serialize.csv_lines(header, rows):
+            print(line)
     return 0
+
+
+def _qft_cost_rows(first: int, last: int):
+    """One `cost --qft` row per n, made as the CSV writer asks for it, so no range is held in memory."""
+    for n in range(first, last + 1):
+        report = analysis.switched_qft_cost(n)
+        yield [n, *(getattr(report, name) for name in _QFT_COLUMNS.values())]
 
 
 def _cmd_robustness(args) -> int:

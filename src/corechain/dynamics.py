@@ -31,19 +31,24 @@ returns the result; `gates.execute`, `evolve`, `mirror_map` and
 `apply_local` copy a StateVector's read-only amplitudes first.  Viewed as a tensor with M axes
 of 2 and one of columns, the array need not hold qubit q on axis q: a plan
 carries the order, the axis that holds each qubit, so a swap and the site
-reversal of a mirror step move no amplitude.
+reversal of a mirror step move no amplitude.  Nor need it hold every qubit:
+a qubit known to be |0> has no axis, and the array has half the rows for
+each such qubit, until a Local inserts the axis or the plan materialises.
 
 - `_phase_raw` multiplies by the weight phases of a certified mirror step,
-  one 2^N table broadcast over the axes that hold the chain.
+  one 2^k table broadcast over the k axes that hold chain sites; an absent
+  site adds 0 to the weight, so the table is the first 2^k entries of the
+  chain's 2^N one.
 - `_locals_raw` applies a run of single-qubit unitaries as in-place
   two-row passes on the axes it is given.
 - `_rotating_locals_raw` applies a run on one column by ascending axis.
   Each pass reads the leading axis's two contiguous halves and writes them
   interleaved into a second buffer, so the next axis leads; the axes come
   out rotated, and the plan records the rotation instead of undoing it.
-- `_permute_raw` materialises an order with one transposing copy: before
-  the Givens network of `_evolve_raw`, at the end of a plan, and as the
-  site reversal of `mirror_map`.
+- `_permute_raw` materialises an order with one transposing copy into the
+  |0> slice of a zeroed array: before the Givens network of `_evolve_raw`,
+  at the end of a plan, where a Local inserts the axes of absent qubits,
+  and as the site reversal of `mirror_map`.
 
 No kernel calls BLAS, so a wide batch of columns never meets a
 multi-threaded product.
@@ -360,10 +365,18 @@ def _phase_raw(arr: np.ndarray, shape: tuple[int, ...], phases: np.ndarray) -> n
     return arr
 
 
-def _permute_raw(arr: np.ndarray, order: Sequence[int]) -> np.ndarray:
-    """The amplitudes with qubit q on axis q, read from axis order[q]: one transposing copy."""
-    tensor = arr.reshape([2] * len(order) + [-1])
-    return tensor.transpose(*order, len(order)).reshape(arr.shape)
+def _permute_raw(arr: np.ndarray, order: Sequence[int | None]) -> np.ndarray:
+    """The amplitudes with qubit q on axis q, read from axis order[q]: one transposing copy.
+
+    Axes after the ordered ones stay where they are.  A qubit whose order is
+    None has no axis in `arr` and is |0>: the copy fills the |0> slice of an
+    array that is otherwise zero and has 2^(number of None) times the rows.
+    """
+    axes = [axis for axis in order if axis is not None]
+    out = np.zeros((1 << len(order), arr.size >> len(axes)), dtype=arr.dtype)
+    held = out.reshape([2] * len(order) + [-1])[tuple(0 if axis is None else slice(None) for axis in order)]
+    held[...] = arr.reshape([2] * len(axes) + [-1]).transpose(*axes, len(axes))
+    return out.reshape(-1, arr.shape[-1])
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:

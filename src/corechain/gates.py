@@ -16,9 +16,15 @@ batch, into a plan of :mod:`corechain.dynamics` kernel calls (see
 the array axis that holds each qubit, so the paper's store-core swaps and
 the site reversal of each mirror cost no amplitude move: only the mirror's
 phase multiply and the local gates touch the array, on the axes the order
-names.  A transpose to natural order precedes each Givens-network evolution
-and ends the plan, so `execute`, `program_unitary` and the CLI's blocks all
-see amplitudes in natural order.
+names.  A qubit the input holds in |0> has no axis until a Local touches
+it, so the array holds 2^(present qubits) amplitudes per column: `execute`
+leaves out each qubit whose bit is 0 in every nonzero amplitude's index,
+and the CLI's blocks every qubit outside the block.  A store ancilla in |0>,
+and the home site a controlled-Z composite empties, halve every pass.  One
+transposing copy into the |0> slice of a zeroed array, in natural order,
+precedes each Givens-network evolution and ends the plan, so `execute`,
+`program_unitary` and the CLI's blocks all see every amplitude in natural
+order.
 """
 
 from __future__ import annotations
@@ -147,16 +153,17 @@ def _relocated_locations(layout: Layout, control: int) -> tuple[tuple[int, int],
 _Step = Callable[[np.ndarray], np.ndarray]
 
 
-def _mirror_table(profile: CouplingProfile, duration: float, n_sites: int) -> np.ndarray | None:
-    """The closed-form mirror's weight phases where it is exact, else None for the Givens network."""
+def _mirror_table(
+    profile: CouplingProfile, duration: float, n_sites: int
+) -> tuple[np.ndarray | None, tuple | None]:
+    """(the closed-form mirror's weight phases, None) where it is exact, else (None, the network's eigensystem)."""
     if profile.n_sites != n_sites:
         raise InvalidLayoutError("profile does not match the program layout")
     if duration > 0:
         certificate = mirror_certificate(profile, duration)  # refuses a period that overflows the phases
         if mirror_is_closed_form(profile, certificate):
-            return dynamics._mirror_phases(n_sites, certificate.phi_n)
-    dynamics._check_evolution(profile, n_sites, duration)
-    return None
+            return dynamics._mirror_phases(n_sites, certificate.phi_n), None
+    return None, dynamics._check_evolution(profile, n_sites, duration)
 
 
 def _fused_locals(run: Iterable[Local]) -> dict[int, np.ndarray]:
@@ -168,62 +175,96 @@ def _fused_locals(run: Iterable[Local]) -> dict[int, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _plan(program: GateProgram, profile: CouplingProfile, one_column: bool) -> tuple[_Step, ...]:
+def _plan(
+    program: GateProgram, profile: CouplingProfile, one_column: bool, absent: frozenset[int]
+) -> tuple[_Step, ...]:
     """Lower the program for one chain into kernel calls on the amplitude array.
 
-    `order[q]` is the array axis that holds qubit q.  A Swap exchanges two
-    entries and a closed-form mirror reverses the chain's entries after its
-    phase multiply, so neither moves an amplitude.  A run of Locals on one
-    column rotates the axes and the order records the rotation; a wider
-    batch runs in place on the qubits' current axes, in first-seen order.
-    The order is materialised before a Givens network and at the end, so
-    every caller sees natural order.
+    `order[q]` is qubit q's slot, the array axis that holds it when no
+    qubit is absent.  A Swap exchanges two entries and a closed-form mirror
+    reverses the chain's entries after its phase multiply, so neither moves
+    an amplitude.  A run of Locals on one column rotates the slots and the
+    order records the rotation; a wider batch runs in place on the qubits'
+    current axes, in first-seen order.
+
+    The qubits in `absent` start in |0>.  Their slots are `empty`: the
+    array has no axis for them, so it has 2^(present qubits) rows, and a
+    slot's axis is its rank among the other slots.  A swap or a reversal
+    carries an empty slot along.  A mirror multiplies by the weight phases
+    of the present chain axes, the table's first 2^k entries, since an
+    absent site adds 0 to the weight.  A Local on an absent qubit first
+    inserts its axis, with a zero |1> half, at its slot's rank, so a run
+    makes its passes in the order it makes them with nothing absent and
+    every amplitude is bit for bit the same, up to the sign of an exact
+    zero.  Before a Givens network and at the end the array is
+    materialised, in natural order with nothing absent, so every caller
+    sees all 2^M rows.
     """
     layout = program.layout
     n_sites, natural = layout.core_sites, tuple(range(layout.total_qubits))
     order = list(natural)
+    empty = set(absent)
     steps: list[_Step] = []
-    tables: dict[float, np.ndarray | None] = {}  # one certificate and phase table per duration
+    lowered: dict[float, tuple] = {}  # one certificate, and phase table or eigensystem, per duration
+
+    def axis(slot: int) -> int:
+        return slot - sum(other < slot for other in empty)
+
+    def copy_to(slots: Iterable[int]):
+        """The one-copy step whose axis k holds slot k of `slots`, |0> where that slot is empty."""
+        steps.append(partial(dynamics._permute_raw, order=tuple(None if s in empty else axis(s) for s in slots)))
 
     def materialise():
         nonlocal order
-        if tuple(order) != natural:
-            steps.append(partial(dynamics._permute_raw, order=tuple(order)))
+        if empty or tuple(order) != natural:
+            copy_to(order)
             order = list(natural)
+            empty.clear()
 
     for is_local, run in groupby(program.instructions, key=lambda op: isinstance(op, Local)):
         if is_local:
-            fused = [(order[q], u) for q, u in _fused_locals(run).items()]
+            fused = _fused_locals(run)
+            inserted = empty.intersection(order[q] for q in fused)
+            if inserted:
+                copy_to(s for s in natural if s not in empty or s in inserted)
+                empty -= inserted
+            passes = [(axis(order[q]), u) for q, u in fused.items()]
             if one_column:
-                fused.sort(key=lambda entry: entry[0])
-                steps.append(partial(dynamics._rotating_locals_raw, passes=tuple(fused)))
-                shift = fused[-1][0] + 1
-                order = [(axis - shift) % len(order) for axis in order]
+                passes.sort(key=lambda entry: entry[0])
+                steps.append(partial(dynamics._rotating_locals_raw, passes=tuple(passes)))
+                shift = max(order[q] for q in fused) + 1
+                order = [(slot - shift) % len(order) for slot in order]
+                empty = {(slot - shift) % len(order) for slot in empty}
             else:
-                steps.append(partial(dynamics._locals_raw, run=tuple(fused)))
+                steps.append(partial(dynamics._locals_raw, run=tuple(passes)))
             continue
         for op in run:
             if isinstance(op, Swap):
                 a, b = layout.core_position(op.core_site), op.partner
                 order[a], order[b] = order[b], order[a]
                 continue
-            if op.duration not in tables:
-                tables[op.duration] = _mirror_table(profile, op.duration, n_sites)
-            phases = tables[op.duration]
+            if op.duration not in lowered:
+                lowered[op.duration] = _mirror_table(profile, op.duration, n_sites)
+            phases, eigensystem = lowered[op.duration]
             if phases is None:
                 materialise()
-                steps.append(partial(dynamics._evolve_raw, dynamics._block_eigensystems(profile), op.duration))
-            else:
-                shape, view = dynamics._phase_blocks(phases, order[:n_sites])
+                steps.append(partial(dynamics._evolve_raw, eigensystem, op.duration))
+                continue
+            chain = [axis(slot) for slot in order[:n_sites] if slot not in empty]
+            if chain:
+                shape, view = dynamics._phase_blocks(phases[: 1 << len(chain)], chain)
                 steps.append(partial(dynamics._phase_raw, shape=shape, phases=view))
-                order[:n_sites] = order[n_sites - 1 :: -1]
+            order[:n_sites] = order[n_sites - 1 :: -1]
     materialise()
     return tuple(steps)
 
 
-def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray) -> np.ndarray:
-    """Apply the program's plan to every column of `arr`; the result is in natural order."""
-    for step in _plan(program, profile, arr.shape[1] == 1):
+def _run(program: GateProgram, profile: CouplingProfile, arr: np.ndarray, absent: frozenset[int]) -> np.ndarray:
+    """Apply the program's plan to every column of `arr`, which leaves out the `absent` qubits' axes.
+
+    Those qubits are |0> in every column; the result has all 2^M rows, in natural order.
+    """
+    for step in _plan(program, profile, arr.shape[1] == 1, absent):
         arr = step(arr)
     return arr
 
@@ -232,21 +273,26 @@ def execute(program: GateProgram, profile: CouplingProfile, state: StateVector) 
     """Run the program on `state`; free evolutions use `profile`."""
     if state.layout != program.layout:
         raise InvalidLayoutError("state layout does not match the program layout")
-    return StateVector(program.layout, _run(program, profile, state.amplitudes[:, None].copy())[:, 0])
+    total = program.layout.total_qubits
+    # a qubit whose bit is 0 in every nonzero amplitude's index is |0>: run only that slice.
+    # Amplitude i's parts sit at 2i and 2i + 1 of the float view, which compares faster
+    held = int(np.bitwise_or.reduce(np.flatnonzero(state.amplitudes.view(np.float64) != 0))) >> 1
+    absent = frozenset(q for q in range(total) if not held >> (total - 1 - q) & 1)
+    start = state.amplitudes.reshape([2] * total)[tuple(0 if q in absent else slice(None) for q in range(total))]
+    return StateVector(program.layout, _run(program, profile, start.copy().reshape(-1, 1), absent)[:, 0])
 
 
 def _block(program: GateProgram, profile: CouplingProfile | None, first: int, count: int) -> np.ndarray:
     """The program's block on the adjacent qubits first..first+count-1, every other qubit in |0>.
 
-    Only the 2^count identity columns the block reads are run.  Their
-    indices, and the rows returned, step by 2^(qubits after the block), so
-    the rows are a strided view of the result.
+    The plan runs the 2^count identity columns with every other qubit
+    absent.  The rows of the block step by 2^(qubits after the block), so
+    they are a strided view of the result.
     """
-    stride = 1 << (program.layout.total_qubits - first - count)
-    rows = slice(0, stride << count, stride)
-    identity = np.zeros((program.layout.dim, 1 << count), dtype=np.complex128)
-    np.fill_diagonal(identity[rows], 1.0)
-    return _run(program, profile, identity)[rows]
+    total = program.layout.total_qubits
+    stride = 1 << (total - first - count)
+    absent = frozenset(range(total)) - frozenset(range(first, first + count))
+    return _run(program, profile, np.eye(1 << count, dtype=np.complex128), absent)[: stride << count : stride]
 
 
 def program_unitary(program: GateProgram, profile: CouplingProfile) -> np.ndarray:

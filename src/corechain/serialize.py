@@ -10,7 +10,7 @@ import functools
 import json
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -87,20 +87,22 @@ def write_json(path, obj: Any) -> None:
         fh.write("\n")
 
 
-def csv_lines(header: list[str], rows: list[list]) -> list[str]:
-    """Header and rows as CSV lines, floats in the fixed format."""
+def csv_lines(header: list[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """Header and rows as CSV lines, floats in the fixed format, one line at a time."""
     def cell(v):
         if isinstance(v, (float, np.floating)):
             return format_float(v)
         return str(v)
 
-    return [",".join(header)] + [",".join(cell(v) for v in row) for row in rows]
+    yield ",".join(header)
+    for row in rows:
+        yield ",".join(cell(v) for v in row)
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
-    """RFC-4180-style CSV with a header row and fixed float formatting."""
+def write_csv(path, header: list[str], rows: Iterable[Sequence]) -> None:
+    """RFC-4180-style CSV with a header row and fixed float formatting, written as the rows come."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("".join(line + "\r\n" for line in csv_lines(header, rows)))
+        fh.writelines(line + "\r\n" for line in csv_lines(header, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from corechain import (
     execute,
     phase_gate,
     program_unitary,
+    qft_program,
     random_state,
     zero_phase_profile,
 )
-from corechain import gates
+from corechain import dynamics, gates
 from corechain.serialize import profile_from_dict
 
 import oracles
@@ -41,7 +42,7 @@ def negated(profile):
 
 
 def kernels(program, profile, one_column=True):
-    return [step.func.__name__ for step in gates._plan(program, profile, one_column)]
+    return [step.func.__name__ for step in gates._plan(program, profile, one_column, frozenset())]
 
 
 # a closed-form mirror is a phase multiply and a relabel, so a lone one ends on the transpose
@@ -97,13 +98,13 @@ def test_locals_fuse_per_qubit_between_other_instructions():
     assert kernels(program, profile, one_column=False) == [
         "_locals_raw", "_phase_raw", "_locals_raw", "_locals_raw", "_permute_raw",
     ]
-    wide = gates._plan(program, profile, False)
+    wide = gates._plan(program, profile, False, frozenset())
     runs = [[axis for axis, _ in step.keywords["run"]] for step in wide if "run" in step.keywords]
     assert runs == [[0, 1], [0], [0]]  # one step per run, one 2x2 per qubit in first-seen order
     assert kernels(program, profile) == [
         "_rotating_locals_raw", "_phase_raw", "_rotating_locals_raw", "_rotating_locals_raw", "_permute_raw",
     ]
-    one_column = gates._plan(program, profile, True)
+    one_column = gates._plan(program, profile, True, frozenset())
     passes = [[axis for axis, _ in step.keywords["passes"]] for step in one_column if "passes" in step.keywords]
     # ascending axes: each run rotates the axes left by its last axis + 1, so qubit 2
     # sits on axis 2 after the first run and the mirror, and on axis 3 after its own run
@@ -201,13 +202,61 @@ def test_random_programs_match_dense_oracle(name, data, seed):
 
     # three columns take the in-place passes, like program_unitary, but on a narrow batch
     batch = np.random.default_rng(seed).standard_normal((program.layout.dim, 3)).astype(complex)
-    assert np.max(np.abs(gates._run(program, profile, batch.copy()) - reference @ batch)) <= 1e-9
+    assert np.max(np.abs(gates._run(program, profile, batch.copy(), frozenset()) - reference @ batch)) <= 1e-9
 
     columns = [
         execute(program, profile, StateVector(program.layout, column)).amplitudes
         for column in np.eye(program.layout.dim, dtype=complex)
     ]
     assert np.max(np.abs(full - np.column_stack(columns))) <= 1e-12
+
+
+def test_lowering_a_network_duration_looks_the_eigensystem_up_once():
+    profile = CouplingProfile(4, (0.3, 0.7, 0.3), (0.1, 0.2, 0.2, 0.1))  # a chain no other test builds
+    program = GateProgram((FreeEvolve(OFF_PERIOD), Local(0, oracles.H), FreeEvolve(OFF_PERIOD)), Layout(4, 1))
+    before = dynamics._block_eigensystems.cache_info()
+    assert kernels(program, profile).count("_evolve_raw") == 2
+    after = dynamics._block_eigensystems.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+
+
+@pytest.mark.parametrize("name", CHAINS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_qubits_in_zero_leave_the_result_bit_for_bit(name, data, seed):
+    profile = CHAINS[name]
+    program = data.draw(programs(profile.n_sites))
+    total = program.layout.total_qubits
+    zeros = data.draw(st.sets(st.integers(0, total - 1), max_size=total))
+    amps = random_state(program.layout, seed=seed).amplitudes.reshape([2] * total).copy()
+    for q in zeros:
+        amps[(slice(None),) * q + (1,)] = 0
+    state = StateVector(program.layout, amps.reshape(-1) / np.linalg.norm(amps))
+    out = execute(program, profile, state).amplitudes
+    assert np.max(np.abs(out - dense_program(program, profile) @ state.amplitudes)) <= 1e-9
+    # the same plan arithmetic as with every qubit present, up to the sign of an exact zero
+    assert np.array_equal(out, gates._run(program, profile, state.amplitudes[:, None].copy(), frozenset())[:, 0])
+
+
+def test_qft12_with_the_ancilla_in_zero_runs_on_half_the_amplitudes(monkeypatch):
+    program, profile = qft_program(12), zero_phase_profile(12)
+    amps = np.zeros(program.layout.dim, dtype=complex)
+    amps[::2] = random_state(Layout(12), seed=5).amplitudes  # the ancilla, last, in |0>
+    state = StateVector(program.layout, amps)
+    rows, plan = [], gates._plan
+
+    def recorded(step):
+        def run(arr):
+            rows.append((step.func.__name__, arr.shape[0]))
+            return step(arr)
+        return run
+
+    monkeypatch.setattr(gates, "_plan", lambda *key: tuple(map(recorded, plan(*key))))
+    out = execute(program, profile, state).amplitudes
+    assert rows[-1] == ("_permute_raw", 1 << 12)  # the end of the plan, back to 2^13 rows
+    assert sorted(set(rows[:-1])) == [("_phase_raw", 1 << 12), ("_rotating_locals_raw", 1 << 12)]
+    assert len(rows) == 68
+    assert np.array_equal(out, gates._run(program, profile, amps[:, None].copy(), frozenset())[:, 0])
 
 
 def test_off_period_program_unitary_on_eight_qubits():
