@@ -10,6 +10,7 @@ switching event.  A pairwise primitive at strength w takes time pi/(2 w).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,11 +90,18 @@ def qft_core_census(n: int) -> CostReport:
     """
     if n < 1:
         raise InvalidLayoutError(f"need at least 1 qubit, got {n}")
+    try:
+        core_time = math.pi * 4 * (n - 1)
+    except OverflowError:  # n - 1 is past the largest float
+        core_time = math.inf
+    if not math.isfinite(core_time):
+        bound = sys.float_info.max / (4 * math.pi)
+        raise NonFiniteTimeError(f"the core time 4 pi (n - 1) must be finite, so n must stay below {bound:.3g}")
     return CostReport(
         free_evolutions=4 * (n - 1),
         swaps=2 * (n - 1),
         local_ops=n + (n - 1) * (3 * n + 2) // 2,
-        core_time=math.pi * 4 * (n - 1),
+        core_time=core_time,
     )
 
 
@@ -115,9 +123,10 @@ def switched_qft_cost(n: int) -> CostReport:
     n = 1 none.  Times take omega_max = n/4 for the switched baseline,
     matching the linear-spectrum chain's strongest coupling.
     """
+    census = qft_core_census(n)  # refuses an n whose core time overflows, and so every larger time
     depth = 2 * n if n > 2 else 2 * (n - 1)
     interval = math.pi / (2.0 * (n / 4.0)) if n > 1 else 0.0
-    return replace(qft_core_census(n), switch_events=n * (n - 1), switched_time=depth * interval)
+    return replace(census, switch_events=n * (n - 1), switched_time=depth * interval)
 
 
 def quadratic_fit_residual(ns, events) -> tuple[float, float]:

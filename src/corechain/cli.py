@@ -247,6 +247,8 @@ def _cmd_cost(args) -> int:
         if args.n_range is None:
             return _fail("cost --qft needs --n-range A..B", 2)
         header = ["n", *_QFT_COLUMNS]
+        # the last n has the largest times: one that overflows is refused before the header is written
+        analysis.switched_qft_cost(args.n_range[1])
         rows = _qft_cost_rows(*args.n_range)
     if args.out:
         serialize.write_csv(args.out, header, rows)

@@ -25,6 +25,15 @@ transposing copy into the |0> slice of a zeroed array, in natural order,
 precedes each Givens-network evolution and ends the plan, so `execute`,
 `program_unitary` and the CLI's blocks all see every amplitude in natural
 order.
+
+Each matrix is checked once, where it enters: `Local`, `TargetSpec` and
+`abc_decompose` check the matrix a caller hands them, `phase_gate` its
+angle, and the program reader in :mod:`corechain.serialize` builds through `Local`.  The
+builders here and in :mod:`corechain.applications` make their own matrices,
+so a build checks each distinct one once and splits each distinct target
+once (`_Matrices`, which lives only for that build), hands the checked
+arrays to `_local`, which checks nothing, and assembles one instruction list
+that one `GateProgram` validates.
 """
 
 from __future__ import annotations
@@ -93,6 +102,43 @@ class Local:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _check_unitary(self.matrix))
+
+
+def _local(qubit: int, matrix: np.ndarray, label: str = "") -> Local:
+    """A Local of a matrix that `_check_unitary` has already returned, made without a second check."""
+    op = object.__new__(Local)
+    op.__dict__.update(qubit=qubit, matrix=matrix, label=label)
+    return op
+
+
+class _Matrices:
+    """The matrices of one program build: each distinct one checked once, each distinct target split once.
+
+    Both tables are keyed by a matrix's bytes and live only as long as the
+    build, so a QFT's fans share the split of each R(pi/2^k).
+    """
+
+    def __init__(self):
+        self._checked: dict[bytes, np.ndarray] = {}
+        self._splits: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
+
+    def checked(self, u: np.ndarray) -> np.ndarray:
+        """`_check_unitary(u)`, the same read-only array for every equal `u`."""
+        key = u.tobytes()
+        if key not in self._checked:
+            self._checked[key] = _check_unitary(u)
+        return self._checked[key]
+
+    def local(self, qubit: int, u: np.ndarray, label: str) -> Local:
+        return _local(qubit, self.checked(u), label)
+
+    def split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """:func:`abc_decompose` of the checked target `w`, with A, B and C checked."""
+        key = w.tobytes()
+        if key not in self._splits:
+            a, b, c, alpha = _abc(w)
+            self._splits[key] = (self.checked(a), self.checked(b), self.checked(c), alpha)
+        return self._splits[key]
 
 
 Instruction = FreeEvolve | Swap | Local
@@ -190,9 +236,11 @@ def _plan(
     The qubits in `absent` start in |0>.  Their slots are `empty`: the
     array has no axis for them, so it has 2^(present qubits) rows, and a
     slot's axis is its rank among the other slots.  A swap or a reversal
-    carries an empty slot along.  A mirror multiplies by the weight phases
-    of the present chain axes, the table's first 2^k entries, since an
-    absent site adds 0 to the weight.  A Local on an absent qubit first
+    carries an empty slot along.  `axes` holds every slot's axis (None for
+    an empty one) and is rebuilt only when `empty` changes.  A mirror
+    multiplies by the weight phases of the present chain axes, the table's
+    first 2^k entries, since an absent site adds 0 to the weight; one step
+    serves every mirror of a duration on the same chain axes.  A Local on an absent qubit first
     inserts its axis, with a zero |1> half, at its slot's rank, so a run
     makes its passes in the order it makes them with nothing absent and
     every amplitude is bit for bit the same, up to the sign of an exact
@@ -203,23 +251,30 @@ def _plan(
     layout = program.layout
     n_sites, natural = layout.core_sites, tuple(range(layout.total_qubits))
     order = list(natural)
-    empty = set(absent)
+    empty: set[int] = set()
+    axes: list[int | None] = list(natural)
     steps: list[_Step] = []
     lowered: dict[float, tuple] = {}  # one certificate, and phase table or eigensystem, per duration
+    phase_steps: dict[tuple, _Step] = {}  # one step per duration and tuple of present chain axes
 
-    def axis(slot: int) -> int:
-        return slot - sum(other < slot for other in empty)
+    def set_empty(slots: Iterable[int]):
+        nonlocal empty
+        empty = set(slots)
+        present = iter(range(len(natural)))
+        axes[:] = [None if slot in empty else next(present) for slot in natural]
 
     def copy_to(slots: Iterable[int]):
         """The one-copy step whose axis k holds slot k of `slots`, |0> where that slot is empty."""
-        steps.append(partial(dynamics._permute_raw, order=tuple(None if s in empty else axis(s) for s in slots)))
+        steps.append(partial(dynamics._permute_raw, order=tuple(axes[s] for s in slots)))
 
     def materialise():
         nonlocal order
         if empty or tuple(order) != natural:
             copy_to(order)
             order = list(natural)
-            empty.clear()
+            set_empty(())
+
+    set_empty(absent)
 
     for is_local, run in groupby(program.instructions, key=lambda op: isinstance(op, Local)):
         if is_local:
@@ -227,14 +282,15 @@ def _plan(
             inserted = empty.intersection(order[q] for q in fused)
             if inserted:
                 copy_to(s for s in natural if s not in empty or s in inserted)
-                empty -= inserted
-            passes = [(axis(order[q]), u) for q, u in fused.items()]
+                set_empty(empty - inserted)
+            passes = [(axes[order[q]], u) for q, u in fused.items()]
             if one_column:
                 passes.sort(key=lambda entry: entry[0])
                 steps.append(partial(dynamics._rotating_locals_raw, passes=tuple(passes)))
                 shift = max(order[q] for q in fused) + 1
                 order = [(slot - shift) % len(order) for slot in order]
-                empty = {(slot - shift) % len(order) for slot in empty}
+                if empty:
+                    set_empty((slot - shift) % len(order) for slot in empty)
             else:
                 steps.append(partial(dynamics._locals_raw, run=tuple(passes)))
             continue
@@ -250,10 +306,13 @@ def _plan(
                 materialise()
                 steps.append(partial(dynamics._evolve_raw, eigensystem, op.duration))
                 continue
-            chain = [axis(slot) for slot in order[:n_sites] if slot not in empty]
+            chain = tuple(axes[slot] for slot in order[:n_sites] if slot not in empty)
             if chain:
-                shape, view = dynamics._phase_blocks(phases[: 1 << len(chain)], chain)
-                steps.append(partial(dynamics._phase_raw, shape=shape, phases=view))
+                key = (op.duration, chain)
+                if key not in phase_steps:
+                    shape, view = dynamics._phase_blocks(phases[: 1 << len(chain)], chain)
+                    phase_steps[key] = partial(dynamics._phase_raw, shape=shape, phases=view)
+                steps.append(phase_steps[key])
             order[:n_sites] = order[n_sites - 1 :: -1]
     materialise()
     return tuple(steps)
@@ -312,21 +371,21 @@ def controlled_z_program(control: int, layout: Layout, tau: float = math.pi) -> 
     left in |0>.  On a chain with global phase phi_n, append
     :func:`phase_correction` to strip the extra phases.
     """
-    if layout.ancilla_count < 1:
-        raise UnsupportedConfigurationError("the controlled-Z composite needs an ancilla in the store")
-    if not 1 <= control <= layout.core_sites:
-        raise InvalidInstructionError(f"control site {control} outside 1..{layout.core_sites}")
-    instructions = (
-        FreeEvolve(tau),
-        Swap(layout.mirror_site(control), layout.ancilla_position(0)),
-        FreeEvolve(tau),
-    )
     return GateProgram(
-        instructions,
+        _composite(control, layout, tau),
         layout,
         final_locations=_relocated_locations(layout, control),
         note=f"controlled-Z from site {control}; control relocated to ancilla",
     )
+
+
+def _composite(control: int, layout: Layout, tau: float) -> tuple[Instruction, ...]:
+    """The controlled-Z composite's three instructions, once the layout and control allow it."""
+    if layout.ancilla_count < 1:
+        raise UnsupportedConfigurationError("the controlled-Z composite needs an ancilla in the store")
+    if not 1 <= control <= layout.core_sites:
+        raise InvalidInstructionError(f"control site {control} outside 1..{layout.core_sites}")
+    return (FreeEvolve(tau), Swap(layout.mirror_site(control), layout.ancilla_position(0)), FreeEvolve(tau))
 
 
 def phase_correction(
@@ -339,16 +398,23 @@ def phase_correction(
     ancilla (its position right after :func:`controlled_z_program`); pass
     `control_position` for composites that have already returned it home.
     """
+    return tuple(_corrections(_Matrices(), phi_n, control, layout, control_position))
+
+
+def _corrections(
+    matrices: _Matrices, phi_n: float, control: int, layout: Layout, control_position: int | None = None
+) -> list[Local]:
+    """:func:`phase_correction`'s Locals, their matrices checked once per build."""
     if phi_n == 0.0:
-        return ()
+        return []
     if control_position is None:
         control_position = layout.ancilla_position(0)
-    doubled = phase_gate(2.0 * phi_n)
+    doubled = matrices.checked(phase_gate(2.0 * phi_n))
     homes = layout.identity_locations()
-    gates = [Local(pos, doubled, "R(2phi)") for site, pos in homes if site != control]
-    gates.append(Local(control_position, doubled, "R(2phi)"))
-    gates.append(Local(control_position, phase_gate(-phi_n), "R(-phi)"))
-    return tuple(gates)
+    gates = [_local(pos, doubled, "R(2phi)") for site, pos in homes if site != control]
+    gates.append(_local(control_position, doubled, "R(2phi)"))
+    gates.append(matrices.local(control_position, phase_gate(-phi_n), "R(-phi)"))
+    return gates
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +465,11 @@ def abc_decompose(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
     conjugation flips both axes gives A = Ry(a) Rx(b/2),
     B = Rx(-b/2) Ry(-(a+c)/2), C = Ry((c-a)/2).
     """
-    w = _check_unitary(w)
+    return _abc(_check_unitary(w))
+
+
+def _abc(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """:func:`abc_decompose` of a matrix `_check_unitary` has already returned."""
     alpha = cmath.phase(complex(np.linalg.det(w))) / 2.0
     w0 = cmath.exp(-1j * alpha) * w
     m = _AXIS_CYCLE.conj().T @ w0 @ _AXIS_CYCLE
@@ -450,32 +520,37 @@ def controlled_unitary_program(
     its original location.  Cost: four free evolutions and two swaps for any
     register size.
     """
-    x = spec.control
-    composite = controlled_z_program(x, layout, tau).instructions
-    if x in spec.targets:
-        raise InvalidInstructionError("the control site carries no target")
-
-    sites = sorted(spec.targets)
-    parts = {site: abc_decompose(spec.targets[site]) for site in sites}
-
-    instructions: list[Instruction] = []
-    instructions += [Local(layout.core_position(s), parts[s][2], f"C{s}") for s in sites]
-    instructions += composite
-    instructions += phase_correction(phi_n, x, layout)
-    instructions += [Local(layout.core_position(s), parts[s][1], f"B{s}") for s in sites]
-    instructions += composite
-    instructions += phase_correction(phi_n, x, layout, control_position=layout.core_position(x))
-    instructions += [Local(layout.core_position(s), parts[s][0], f"A{s}") for s in sites]
-    alpha_sum = sum(parts[s][3] for s in sites)
-    if abs(cmath.exp(1j * alpha_sum) - 1.0) > 1e-15:
-        instructions.append(Local(layout.core_position(x), phase_gate(alpha_sum), "alpha"))
-
     return GateProgram(
-        tuple(instructions),
+        tuple(_controlled(spec.control, spec.targets, layout, tau, phi_n, _Matrices())),
         layout,
         final_locations=layout.identity_locations(),
-        note=f"controlled multi-target gate from site {x}",
+        note=f"controlled multi-target gate from site {spec.control}",
     )
+
+
+def _controlled(
+    x: int, targets: Mapping[int, np.ndarray], layout: Layout, tau: float, phi_n: float, matrices: _Matrices
+) -> list[Instruction]:
+    """:func:`controlled_unitary_program`'s instructions for checked `targets`, split once per build."""
+    composite = _composite(x, layout, tau)
+    if x in targets:
+        raise InvalidInstructionError("the control site carries no target")
+
+    sites = sorted(targets)
+    parts = {site: matrices.split(targets[site]) for site in sites}
+
+    instructions: list[Instruction] = []
+    instructions += [_local(layout.core_position(s), parts[s][2], f"C{s}") for s in sites]
+    instructions += composite
+    instructions += _corrections(matrices, phi_n, x, layout)
+    instructions += [_local(layout.core_position(s), parts[s][1], f"B{s}") for s in sites]
+    instructions += composite
+    instructions += _corrections(matrices, phi_n, x, layout, control_position=layout.core_position(x))
+    instructions += [_local(layout.core_position(s), parts[s][0], f"A{s}") for s in sites]
+    alpha_sum = sum(parts[s][3] for s in sites)
+    if abs(cmath.exp(1j * alpha_sum) - 1.0) > 1e-15:
+        instructions.append(matrices.local(layout.core_position(x), phase_gate(alpha_sum), "alpha"))
+    return instructions
 
 
 def controlled_reflection_program(
@@ -491,17 +566,18 @@ def controlled_reflection_program(
     is up.  Inherits the composite's relocation: the control ends on the
     ancilla and its home site is left in |0>.
     """
-    composite = controlled_z_program(control, layout, tau).instructions
+    composite = _composite(control, layout, tau)
     if control in reflections:
         raise InvalidInstructionError("the control site carries no target")
     conjugators = {site: reflection_conjugator(theta, phi) for site, (theta, phi) in reflections.items()}
     sites = sorted(conjugators)
 
+    matrices = _Matrices()
     instructions: list[Instruction] = []
-    instructions += [Local(layout.core_position(s), conjugators[s].conj().T, f"Adag{s}") for s in sites]
+    instructions += [matrices.local(layout.core_position(s), conjugators[s].conj().T, f"Adag{s}") for s in sites]
     instructions += composite
-    instructions += phase_correction(phi_n, control, layout)
-    instructions += [Local(layout.core_position(s), conjugators[s], f"A{s}") for s in sites]
+    instructions += _corrections(matrices, phi_n, control, layout)
+    instructions += [matrices.local(layout.core_position(s), conjugators[s], f"A{s}") for s in sites]
     return GateProgram(
         tuple(instructions),
         layout,

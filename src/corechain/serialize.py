@@ -43,37 +43,48 @@ def dumps(obj: Any, indent: int = 0) -> str:
 
     A list goes on one line when no entry spans lines and the entries total
     fewer than 72 characters.  Scalar entries are rendered in place, not by
-    a call of `dumps` each.
+    a call of `render` each.  A dict value that is not a scalar is rendered
+    once per call: a value that several dicts share, such as the matrix of
+    a program's equal Locals (see :func:`program_to_dict`), costs one
+    rendering.
     """
-    scalar = _SCALARS.get(type(obj))
-    if scalar is not None:
-        return scalar(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rendered = [
-            r(v) if (r := _SCALARS.get(type(v))) is not None else dumps(v, indent + 2) for v in obj
-        ]
-        line = ", ".join(rendered)
-        if len(line) - 2 * (len(rendered) - 1) < 72 and "\n" not in line:
-            return "[" + line + "]"
-        inner = " " * (indent + 2)
-        return "[\n" + ",\n".join([inner + r for r in rendered]) + "\n" + " " * indent + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = " " * (indent + 2)
-        items = [
-            f"{inner}{encode_basestring_ascii(str(k))}: "
-            + (r(v) if (r := _SCALARS.get(type(v))) is not None else dumps(v, indent + 2))
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
-    if isinstance(obj, (int, np.integer)):  # int subclasses and numpy scalars
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    return json.dumps(obj)
+    shared: dict[tuple[int, int], str] = {}  # (id of a dict value, its indent) -> its text
+
+    def value(v, indent: int) -> str:
+        r = _SCALARS.get(type(v))
+        if r is not None:
+            return r(v)
+        key = (id(v), indent)  # v is alive until the call returns, so its id names it
+        if key not in shared:
+            shared[key] = render(v, indent)
+        return shared[key]
+
+    def render(obj, indent: int) -> str:
+        scalar = _SCALARS.get(type(obj))
+        if scalar is not None:
+            return scalar(obj)
+        if isinstance(obj, (list, tuple)):
+            if not obj:
+                return "[]"
+            rendered = [r(v) if (r := _SCALARS.get(type(v))) is not None else render(v, indent + 2) for v in obj]
+            line = ", ".join(rendered)
+            if len(line) - 2 * (len(rendered) - 1) < 72 and "\n" not in line:
+                return "[" + line + "]"
+            inner = " " * (indent + 2)
+            return "[\n" + ",\n".join([inner + r for r in rendered]) + "\n" + " " * indent + "]"
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = " " * (indent + 2)
+            items = [f"{inner}{encode_basestring_ascii(str(k))}: " + value(v, indent + 2) for k, v in obj.items()]
+            return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+        if isinstance(obj, (int, np.integer)):  # int subclasses and numpy scalars
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return format_float(obj)
+        return json.dumps(obj)
+
+    return render(obj, indent)
 
 
 def loads(text: str) -> Any:
@@ -190,6 +201,11 @@ def state_from_dict(data: dict) -> StateVector:
 
 
 def instruction_to_dict(instruction: Instruction) -> dict:
+    return _instruction_dict(instruction, _complex_to_pairs)
+
+
+def _instruction_dict(instruction: Instruction, pairs) -> dict:
+    """The instruction's dict, a Local's matrix given as `pairs(matrix)`."""
     if isinstance(instruction, FreeEvolve):
         return {"op": "evolve", "duration": instruction.duration}
     if isinstance(instruction, Swap):
@@ -198,7 +214,7 @@ def instruction_to_dict(instruction: Instruction) -> dict:
         "op": "local",
         "qubit": instruction.qubit,
         "label": instruction.label,
-        "matrix": _complex_to_pairs(instruction.matrix),
+        "matrix": pairs(instruction.matrix),
     }
 
 
@@ -216,9 +232,18 @@ def instruction_from_dict(data: dict) -> Instruction:
 
 
 def program_to_dict(program: GateProgram) -> dict:
+    """The program as plain dicts; Locals with equal matrices share one [re, im] list, made once."""
+    shared: dict[bytes, list] = {}
+
+    def pairs(matrix: np.ndarray) -> list:
+        key = matrix.tobytes()
+        if key not in shared:
+            shared[key] = _complex_to_pairs(matrix)
+        return shared[key]
+
     return {
         "layout": layout_to_dict(program.layout),
-        "instructions": [instruction_to_dict(i) for i in program.instructions],
+        "instructions": [_instruction_dict(i, pairs) for i in program.instructions],
         "final_locations": [[site, pos] for site, pos in program.final_locations],
         "note": program.note,
     }

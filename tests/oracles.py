@@ -7,7 +7,9 @@ checking.
 
 from __future__ import annotations
 
+import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 import scipy.linalg
@@ -189,3 +191,41 @@ def switched_qft_schedule(n: int) -> tuple[int, int, int]:
             if layer_used:
                 depth += 2  # phase layer followed by swap layer
     return swap_events, phase_events, depth
+
+
+def json_text(obj, indent: int = 0) -> str:
+    """The program writer's JSON, rendered value by value and nothing shared: the reference for `dumps`.
+
+    A list goes on one line when no entry spans lines and the entries total
+    fewer than 72 characters; floats are "%.17g", so -0.0 is "-0".
+    """
+    scalars = {
+        float: "%.17g".__mod__,
+        int: str,
+        bool: lambda b: "true" if b else "false",
+        str: encode_basestring_ascii,
+        type(None): lambda _: "null",
+    }
+    scalar = scalars.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        rendered = [json_text(v, indent + 2) for v in obj]
+        line = ", ".join(rendered)
+        if len(line) - 2 * (len(rendered) - 1) < 72 and "\n" not in line:
+            return "[" + line + "]"
+        inner = " " * (indent + 2)
+        return "[\n" + ",\n".join([inner + r for r in rendered]) + "\n" + " " * indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = " " * (indent + 2)
+        items = [f"{inner}{encode_basestring_ascii(str(k))}: " + json_text(v, indent + 2) for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return "%.17g" % float(obj)
+    return json.dumps(obj)

@@ -126,6 +126,14 @@ class TestSwitchedQft:
         assert report.swaps == 2 * 5
         assert report.core_switch_events == 6 * 5
 
+    @pytest.mark.parametrize("n", [15 * 10**306, 10**309, 10**5000], ids=["1.5e307", "1e309", "1e5000"])
+    def test_times_that_overflow_are_refused(self, n):
+        # past 1.4e307 the core time 4 pi (n - 1) is no float; past 1.8e308 n itself is none
+        for cost in (qft_core_census, switched_qft_cost):
+            with pytest.raises(NonFiniteTimeError, match="the core time"):
+                cost(n)
+        assert math.isfinite(switched_qft_cost(14 * 10**306).core_time)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_census_formula_matches_builder(self, n):
         built = cost_of_program(qft_program(n), math.pi)

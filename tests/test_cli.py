@@ -386,6 +386,25 @@ class TestCost:
         run(capsys, "cost", "--qft", "--n-range", "2..8", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    # 4 pi (n - 1) passes the largest float between 1.4e307 and 1.5e307, and n itself
+    # converts to no float past 1.8e308; the refusal comes before the CSV header
+    @pytest.mark.parametrize("n", [15 * 10**306, 10**309], ids=["1.5e307", "1e309"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_qft_sweep_refuses_times_that_overflow(self, capsys, tmp_path, n, to_file):
+        out_file = tmp_path / "qft.csv"
+        argv = ["cost", "--qft", "--n-range", f"{n}..{n}"] + (["--out", str(out_file)] if to_file else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == "" and not out_file.exists()
+        assert err.startswith("error: the core time") and err.count("\n") == 1
+
+    def test_qft_sweep_keeps_every_finite_row(self, capsys):
+        code, out, _ = run(capsys, "cost", "--qft", "--n-range", f"{14 * 10**306}..{14 * 10**306}")
+        assert code == 0
+        assert [float(v) for v in out.splitlines()[1].split(",")[6:]] == [
+            math.pi * 4 * (14 * 10**306 - 1), 2 * 14 * 10**306 * (math.pi / (2.0 * (14 * 10**306 / 4.0)))
+        ]
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_qft_sweep_streams_its_rows(self, tmp_path):
         # the child reports its own peak RSS (VmHWM, which starts afresh at exec, unlike

@@ -9,24 +9,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corechain import (
+    HADAMARD,
     CostReport,
     CouplingProfile,
+    FreeEvolve,
+    GateProgram,
     Layout,
+    Local,
+    NonUnitaryError,
     PauliString,
     Spectrum,
     StateVector,
     TargetSpec,
     TrotterPlan,
+    abc_decompose,
     ancilla_pauli_program,
     christandl_profile,
+    controlled_reflection_program,
     controlled_unitary_program,
     direct_pauli_program,
+    phase_correction,
     phase_gate,
     qft_program,
     random_state,
     trotter_program,
 )
 from corechain import serialize
+from corechain.dynamics import UNITARY_TOL
+
+import oracles
 
 
 def test_float_17_digits_round_trip():
@@ -243,3 +254,123 @@ def test_round_trip_is_byte_identical(kind, data):
     strategy, to_dict, from_dict = CODECS[kind]
     text = serialize.dumps(to_dict(data.draw(strategy)))
     assert serialize.dumps(to_dict(from_dict(serialize.loads(text)))) == text
+
+
+# ---------------------------------------------------------------------------
+# the matrices a build puts in its Locals, and the writer that renders them
+
+
+@st.composite
+def corrected_programs(draw):
+    """The `programs` strategy, plus reflections and phase corrections for a chain phase phi_n != 0."""
+    n = draw(st.integers(2, 4))
+    layout = Layout(n, 1)
+    control = draw(st.integers(1, n))
+    phi_n = draw(st.floats(-math.pi, math.pi).filter(lambda phi: phi != 0.0))
+    angle = st.floats(-math.pi, math.pi)
+    reflections = {site: (draw(angle), draw(angle)) for site in range(1, n + 1) if site != control}
+    targets = {site: phase_gate(draw(angle)) for site in range(1, n + 1) if site != control}
+    programs_of = [
+        lambda: draw(programs()),
+        lambda: controlled_reflection_program(control, reflections, layout, phi_n=phi_n),
+        lambda: GateProgram(phase_correction(phi_n, control, layout), layout),
+        lambda: controlled_unitary_program(TargetSpec(control, targets), layout, phi_n=phi_n),
+        lambda: qft_program(n, phi_n=phi_n),
+        lambda: ancilla_pauli_program(PauliString.from_string("zx"[: n - 1]), draw(angle), phi_n=phi_n),
+    ]
+    return draw(st.sampled_from(programs_of))()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(program=corrected_programs())
+def test_every_local_holds_a_read_only_unitary(program):
+    for op in program.instructions:
+        if isinstance(op, Local):
+            m = op.matrix
+            assert m.dtype == np.complex128 and m.shape == (2, 2) and not m.flags.writeable
+            assert np.max(np.abs(m.conj().T @ m - np.eye(2))) <= UNITARY_TOL
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TargetSpec(1, {2: 1.5 * HADAMARD}),
+        lambda: abc_decompose(np.ones((2, 2))),
+        lambda: Local(0, np.diag([1.0, math.nan])),
+        lambda: phase_gate(math.nan),
+        lambda: phase_correction(math.nan, 1, Layout(2, 1)),
+        lambda: qft_program(3, phi_n=math.nan),
+        lambda: controlled_reflection_program(1, {2: (math.nan, 0.0)}, Layout(2, 1)),
+        lambda: controlled_reflection_program(1, {2: (0.3, 0.0)}, Layout(2, 1), phi_n=math.nan),
+        lambda: controlled_unitary_program(TargetSpec(1, {2: HADAMARD}), Layout(2, 1), phi_n=math.inf),
+        lambda: ancilla_pauli_program(PauliString.from_string("z"), 0.3, phi_n=math.nan),
+        lambda: serialize.program_from_dict(
+            {"layout": {"core_sites": 1}, "instructions": [{"op": "local", "qubit": 0, "matrix": [[[2, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+        ),
+    ],
+    ids=[
+        "target", "abc", "local", "phase", "correction", "qft-phi", "reflection-angle", "reflection-phi",
+        "controlled-phi", "pauli-phi", "reader",
+    ],
+)
+def test_non_unitary_matrix_or_nan_angle_is_refused(build):
+    with pytest.raises(NonUnitaryError):
+        build()
+
+
+# 17-digit widths: 0 and 1 take 1 character, -0 and -1 take 2, cos and sin of a
+# generic angle 19 or 20, the subnormals 23 or 24
+EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-300]
+
+
+@st.composite
+def edge_unitaries(draw):
+    """Unitaries with -0.0, subnormal, +-1 and 17-digit entries: a row is 64 characters wide or so."""
+    c, s = draw(
+        st.sampled_from([(1.0, 0.0), (-1.0, -0.0), (-0.0, 1.0), (0.0, -1.0), (math.cos(1e-310), math.sin(5e-324))])
+        | st.floats(-4.0, 4.0).map(lambda t: (math.cos(t), math.sin(t)))
+    )
+    re, im = [c, -s, s, c], [draw(st.sampled_from(EDGE_PARTS)) for _ in range(4)]
+    return np.array([complex(x, y) for x, y in zip(re, im)]).reshape(2, 2)
+
+
+def written_program(tmp_path, program):
+    """The program file the CLI writes, and its reference rendering with no list shared."""
+    path = tmp_path / "program.json"
+    serialize.write_json(path, {"schema": "1", **serialize.program_to_dict(program)})
+    reference = {
+        "schema": "1",
+        "layout": serialize.layout_to_dict(program.layout),
+        "instructions": [serialize.instruction_to_dict(op) for op in program.instructions],
+        "final_locations": [[site, pos] for site, pos in program.final_locations],
+        "note": program.note,
+    }
+    return path.read_text(encoding="utf-8"), oracles.json_text(reference) + "\n"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    matrices=st.lists(edge_unitaries(), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=10),
+)
+def test_program_writer_matches_the_reference_rendering(tmp_path_factory, matrices, picks):
+    # equal matrices in distinct Locals, and a build whose Locals share one array
+    layout = Layout(3, 1)
+    locals_ = [Local(k % 4, matrices[pick % len(matrices)], f"L{pick}") for k, pick in enumerate(picks)]
+    built = controlled_unitary_program(TargetSpec(1, {2: matrices[0], 3: matrices[-1]}), layout)
+    program = GateProgram((*locals_, FreeEvolve(math.pi), *built.instructions), layout, note="edge")
+    text, reference = written_program(tmp_path_factory.mktemp("writer"), program)
+    assert text == reference
+
+
+@pytest.mark.parametrize("last_im, one_line", [(0.0, True), (-0.0, False)])
+def test_matrix_row_at_the_72_column_rule(tmp_path, last_im, one_line):
+    # the first row's entries are 19 + 23 + 20 + (1 or 2) characters wide; with the
+    # brackets and separators that is 71 or 72 columns
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    matrix = np.array([[complex(c, 5e-324), complex(-s, last_im)], [complex(s, 0.0), complex(c, 0.0)]])
+    layout = Layout(1)
+    text, reference = written_program(tmp_path, GateProgram((Local(0, matrix),) * 3, layout))
+    assert text == reference
+    row = "[[0.70710678118654757, 4.9406564584124654e-324], [-0.70710678118654746, 0]]"
+    assert (row in text) == one_line
