@@ -30,8 +30,6 @@ from .gates import (
     PAULI_Z,
     Swap,
     _controlled,
-    _local,
-    _Matrices,
     phase_gate,
 )
 
@@ -93,14 +91,6 @@ def axis_frame(
     axes (F Z F^dag = sigma_axis with F the leaving gate).  z and 'i' sites
     contribute nothing.
     """
-    entering, leaving = _frames(mask, layout, _Matrices(), first_data_site)
-    return tuple(entering), tuple(leaving)
-
-
-def _frames(
-    mask: PauliString, layout: Layout, matrices: _Matrices, first_data_site: int = 2
-) -> tuple[list[Local], list[Local]]:
-    """:func:`axis_frame`'s Locals, their matrices checked once per build."""
     entering = []
     leaving = []
     for j, axis in enumerate(mask.axes):
@@ -108,9 +98,9 @@ def _frames(
         if f is None:
             continue
         position = layout.core_position(first_data_site + j)
-        entering.append(matrices.local(position, f.conj().T, f"frame_in[{axis}]"))
-        leaving.append(matrices.local(position, f, f"frame_out[{axis}]"))
-    return entering, leaving
+        entering.append(Local(position, f.conj().T, f"frame_in[{axis}]"))
+        leaving.append(Local(position, f, f"frame_out[{axis}]"))
+    return tuple(entering), tuple(leaving)
 
 
 def _t_gate(dt: float) -> np.ndarray:
@@ -132,7 +122,7 @@ def ancilla_pauli_program(
     a local exp(-i Z dt) phases it, and the sequence is uncomputed.  Fixed
     cost: eight free evolutions and four swaps for any weight.
     """
-    layout, instructions = _ancilla_pauli(mask, dt, tau, phi_n, _Matrices())
+    layout, instructions = _ancilla_pauli(mask, dt, tau, phi_n)
     return GateProgram(
         tuple(instructions),
         layout,
@@ -141,20 +131,17 @@ def ancilla_pauli_program(
     )
 
 
-def _ancilla_pauli(
-    mask: PauliString, dt: float, tau: float, phi_n: float, matrices: _Matrices
-) -> tuple[Layout, list[Instruction]]:
-    """:func:`ancilla_pauli_program`'s layout and instructions, its matrices checked and split once per build."""
+def _ancilla_pauli(mask: PauliString, dt: float, tau: float, phi_n: float) -> tuple[Layout, list[Instruction]]:
+    """:func:`ancilla_pauli_program`'s layout and instructions, for one `GateProgram` per build."""
     if not math.isfinite(dt):
         raise NonFiniteTimeError(f"dt must be finite, got {dt}")
     layout = Layout(mask.n_sites + 1, ancilla_count=1)
     parity = layout.core_position(1)
 
-    z = matrices.checked(PAULI_Z)
-    string_gate = _controlled(1, {site + 1: z for site in mask.involved}, layout, tau, phi_n, matrices)
-    entering, leaving = _frames(mask, layout, matrices)
-    h = matrices.local(parity, HADAMARD, "H")
-    t = matrices.local(parity, _t_gate(dt), "T")
+    string_gate = _controlled(1, {site + 1: PAULI_Z for site in mask.involved}, layout, tau, phi_n)
+    entering, leaving = axis_frame(mask, layout)
+    h = Local(parity, HADAMARD, "H")
+    t = Local(parity, _t_gate(dt), "T")
     return layout, [*entering, h, *string_gate, h, t, h, *string_gate, h, *leaving]
 
 
@@ -178,18 +165,16 @@ def direct_pauli_program(mask: PauliString, dt: float, tau: float = math.pi) -> 
     near = layout.core_position(1)
     far = layout.core_position(layout.core_sites)
 
-    matrices = _Matrices()
-    entering, leaving = _frames(mask, layout, matrices)
-    h = matrices.checked(HADAMARD)
+    entering, leaving = axis_frame(mask, layout)
     instructions = (
         *entering,
-        _local(near, h, "H"),
+        Local(near, HADAMARD, "H"),
         FreeEvolve(tau),
-        _local(far, h, "H"),
-        matrices.local(far, _t_gate(dt), "T"),
-        _local(far, h, "H"),
+        Local(far, HADAMARD, "H"),
+        Local(far, _t_gate(dt), "T"),
+        Local(far, HADAMARD, "H"),
         FreeEvolve(tau),
-        _local(near, h, "H"),
+        Local(near, HADAMARD, "H"),
         *leaving,
     )
     return GateProgram(
@@ -238,11 +223,10 @@ def trotter_program(plan: TrotterPlan, tau: float = math.pi) -> GateProgram:
     operator error against exp(-i sum_k c_k P_k * total_time) is first order
     in dt at fixed total time.
     """
-    matrices = _Matrices()
     step: list[Instruction] = []
     layout = None
     for mask, coeff in plan.terms:
-        layout, term = _ancilla_pauli(mask, coeff * plan.dt, tau, 0.0, matrices)
+        layout, term = _ancilla_pauli(mask, coeff * plan.dt, tau, 0.0)
         step += term
     instructions = tuple(step) * plan.steps
     return GateProgram(
@@ -279,17 +263,14 @@ def qft_program(
     if layout.ancilla_count < 1:
         raise UnsupportedConfigurationError("the QFT program needs an ancilla")
 
-    # one check of each matrix and one split of each R(pi/2^k) for the whole build
-    matrices = _Matrices()
-    h = matrices.checked(HADAMARD)
-    rotations = {k: matrices.checked(phase_gate(math.pi / 2**k)) for k in range(1, n)}
+    rotations = {k: phase_gate(math.pi / 2**k) for k in range(1, n)}
     instructions: list[Instruction] = []
     for x in range(1, n + 1):
-        instructions.append(_local(layout.core_position(x), h, f"H{x}"))
+        instructions.append(Local(layout.core_position(x), HADAMARD, f"H{x}"))
         if x == n:
             break
         targets = {j: rotations[j - x] for j in range(x + 1, n + 1)}
-        instructions += _controlled(x, targets, layout, tau, phi_n, matrices)
+        instructions += _controlled(x, targets, layout, tau, phi_n)
 
     if include_bit_reversal:
         scratch = layout.ancilla_position(0)

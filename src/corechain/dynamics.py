@@ -78,6 +78,11 @@ UNITARY_TOL = 1e-10
 _PASS_BLOCK = 1 << 14
 
 
+def _are_integers(*values) -> bool:
+    """Whether every value is a Python or numpy integer: a float position or count is refused, not truncated."""
+    return all(isinstance(v, (int, np.integer)) for v in values)
+
+
 @dataclass(frozen=True)
 class Layout:
     """Register shape: chain sites, ancilla slots, store slots."""
@@ -87,6 +92,8 @@ class Layout:
     store_sites: int = 0
 
     def __post_init__(self):
+        if not _are_integers(self.core_sites, self.ancilla_count, self.store_sites):
+            raise InvalidLayoutError(f"layout counts must be integers, got {self}")
         if self.core_sites < 1 or self.ancilla_count < 0 or self.store_sites < 0:
             raise InvalidLayoutError("layout counts must be nonnegative (and at least one core site)")
         if self.total_qubits > MAX_TOTAL_QUBITS:
@@ -380,13 +387,28 @@ def _permute_raw(arr: np.ndarray, order: Sequence[int | None]) -> np.ndarray:
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
-    """A read-only complex128 copy of `u`, refused unless `u` is a 2x2 unitary."""
-    u = np.array(u, dtype=np.complex128)
+    """A read-only complex128 array equal to `u`, refused unless `u` is a 2x2 unitary.
+
+    The check runs once per distinct matrix: equal matrices (equal bytes)
+    share one array, which is never the caller's own.  A program repeats a
+    handful of matrices (H, the R(pi/2^k) targets and their A/B/C factors),
+    within a build and across builds.
+    """
+    try:
+        u = np.asarray(u, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NonUnitaryError(f"expected a 2x2 complex matrix: {exc}") from None
     if u.shape != (2, 2):
         raise NonUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
+    return _checked_unitary(u.tobytes())
+
+
+@lru_cache(maxsize=1024)
+def _checked_unitary(key: bytes) -> np.ndarray:
+    """The read-only 2x2 array over `key`, once it is unitary; a refusal raises and is not cached."""
+    u = np.frombuffer(key, dtype=np.complex128).reshape(2, 2)
     if not np.max(np.abs(u.conj().T @ u - np.eye(2))) <= UNITARY_TOL:  # also refuses NaN
         raise NonUnitaryError("matrix is not unitary")
-    u.flags.writeable = False
     return u
 
 
@@ -468,7 +490,7 @@ def mirror_map(state: StateVector, phi_n: float) -> StateVector:
 def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     """Apply a single-qubit unitary at global position `qubit`."""
     u = _check_unitary(u)
-    if not 0 <= qubit < state.layout.total_qubits:
+    if not (_are_integers(qubit) and 0 <= qubit < state.layout.total_qubits):
         raise InvalidInstructionError(f"qubit {qubit} outside 0..{state.layout.total_qubits - 1}")
     amps = _locals_raw(state.amplitudes[:, None].copy(), ((qubit, u),))
     return StateVector(state.layout, amps[:, 0])
@@ -479,7 +501,7 @@ def swap_qubits(state: StateVector, a: int, b: int) -> StateVector:
     total = state.layout.total_qubits
     if a == b:
         raise InvalidInstructionError("swap requires two distinct qubits")
-    if not (0 <= a < total and 0 <= b < total):
+    if not (_are_integers(a, b) and 0 <= a < total and 0 <= b < total):
         raise InvalidInstructionError(f"qubits {a}, {b} outside 0..{total - 1}")
     order = list(range(total))
     order[a], order[b] = b, a

@@ -26,14 +26,15 @@ precedes each Givens-network evolution and ends the plan, so `execute`,
 `program_unitary` and the CLI's blocks all see every amplitude in natural
 order.
 
-Each matrix is checked once, where it enters: `Local`, `TargetSpec` and
-`abc_decompose` check the matrix a caller hands them, `phase_gate` its
-angle, and the program reader in :mod:`corechain.serialize` builds through `Local`.  The
-builders here and in :mod:`corechain.applications` make their own matrices,
-so a build checks each distinct one once and splits each distinct target
-once (`_Matrices`, which lives only for that build), hands the checked
-arrays to `_local`, which checks nothing, and assembles one instruction list
-that one `GateProgram` validates.
+Every matrix is checked where it enters: `Local`, `TargetSpec`,
+`abc_decompose` and `apply_local` check the matrix they are handed,
+`phase_gate` its angle, and the program reader in
+:mod:`corechain.serialize` builds through `Local`.  The check is memoised
+on the matrix's bytes (:func:`corechain.dynamics._check_unitary`), and
+`_split` memoises the A/B/C split of each checked target, so a builder
+that makes the same H and R(pi/2^k) again and again checks and splits each
+once per process.  The builders here and in :mod:`corechain.applications`
+assemble one instruction list that one `GateProgram` validates.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import dynamics
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
-from .dynamics import Layout, StateVector, _check_unitary, apply_local
+from .dynamics import Layout, StateVector, _are_integers, _check_unitary, apply_local
 from .errors import (
     InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, NonUnitaryError,
     UnsupportedConfigurationError,
@@ -104,43 +105,6 @@ class Local:
         object.__setattr__(self, "matrix", _check_unitary(self.matrix))
 
 
-def _local(qubit: int, matrix: np.ndarray, label: str = "") -> Local:
-    """A Local of a matrix that `_check_unitary` has already returned, made without a second check."""
-    op = object.__new__(Local)
-    op.__dict__.update(qubit=qubit, matrix=matrix, label=label)
-    return op
-
-
-class _Matrices:
-    """The matrices of one program build: each distinct one checked once, each distinct target split once.
-
-    Both tables are keyed by a matrix's bytes and live only as long as the
-    build, so a QFT's fans share the split of each R(pi/2^k).
-    """
-
-    def __init__(self):
-        self._checked: dict[bytes, np.ndarray] = {}
-        self._splits: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
-
-    def checked(self, u: np.ndarray) -> np.ndarray:
-        """`_check_unitary(u)`, the same read-only array for every equal `u`."""
-        key = u.tobytes()
-        if key not in self._checked:
-            self._checked[key] = _check_unitary(u)
-        return self._checked[key]
-
-    def local(self, qubit: int, u: np.ndarray, label: str) -> Local:
-        return _local(qubit, self.checked(u), label)
-
-    def split(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """:func:`abc_decompose` of the checked target `w`, with A, B and C checked."""
-        key = w.tobytes()
-        if key not in self._splits:
-            a, b, c, alpha = _abc(w)
-            self._splits[key] = (self.checked(a), self.checked(b), self.checked(c), alpha)
-        return self._splits[key]
-
-
 Instruction = FreeEvolve | Swap | Local
 
 
@@ -162,7 +126,8 @@ class GateProgram:
         layout, total = self.layout, self.layout.total_qubits
         for k, op in enumerate(self.instructions):
             if isinstance(op, Swap) and not (
-                1 <= op.core_site <= layout.core_sites
+                _are_integers(op.core_site, op.partner)
+                and 1 <= op.core_site <= layout.core_sites
                 and 0 <= op.partner < total
                 and op.partner != layout.core_position(op.core_site)
             ):
@@ -170,7 +135,7 @@ class GateProgram:
                     f"instruction {k}: swap needs a core site in 1..{layout.core_sites} "
                     f"and another position in 0..{total - 1}, got {op}"
                 )
-            if isinstance(op, Local) and not 0 <= op.qubit < total:
+            if isinstance(op, Local) and not (_are_integers(op.qubit) and 0 <= op.qubit < total):
                 raise InvalidInstructionError(
                     f"instruction {k}: local qubit {op.qubit} outside 0..{total - 1}"
                 )
@@ -398,23 +363,16 @@ def phase_correction(
     ancilla (its position right after :func:`controlled_z_program`); pass
     `control_position` for composites that have already returned it home.
     """
-    return tuple(_corrections(_Matrices(), phi_n, control, layout, control_position))
-
-
-def _corrections(
-    matrices: _Matrices, phi_n: float, control: int, layout: Layout, control_position: int | None = None
-) -> list[Local]:
-    """:func:`phase_correction`'s Locals, their matrices checked once per build."""
     if phi_n == 0.0:
-        return []
+        return ()
     if control_position is None:
         control_position = layout.ancilla_position(0)
-    doubled = matrices.checked(phase_gate(2.0 * phi_n))
+    doubled = phase_gate(2.0 * phi_n)
     homes = layout.identity_locations()
-    gates = [_local(pos, doubled, "R(2phi)") for site, pos in homes if site != control]
-    gates.append(_local(control_position, doubled, "R(2phi)"))
-    gates.append(matrices.local(control_position, phase_gate(-phi_n), "R(-phi)"))
-    return gates
+    gates = [Local(pos, doubled, "R(2phi)") for site, pos in homes if site != control]
+    gates.append(Local(control_position, doubled, "R(2phi)"))
+    gates.append(Local(control_position, phase_gate(-phi_n), "R(-phi)"))
+    return tuple(gates)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +424,13 @@ def abc_decompose(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, fl
     B = Rx(-b/2) Ry(-(a+c)/2), C = Ry((c-a)/2).
     """
     return _abc(_check_unitary(w))
+
+
+@lru_cache(maxsize=1024)
+def _split(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """:func:`abc_decompose` of the checked target with these bytes, its A, B and C checked and shared."""
+    a, b, c, alpha = _abc(np.frombuffer(key, dtype=np.complex128).reshape(2, 2))
+    return _check_unitary(a), _check_unitary(b), _check_unitary(c), alpha
 
 
 def _abc(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -521,7 +486,7 @@ def controlled_unitary_program(
     register size.
     """
     return GateProgram(
-        tuple(_controlled(spec.control, spec.targets, layout, tau, phi_n, _Matrices())),
+        tuple(_controlled(spec.control, spec.targets, layout, tau, phi_n)),
         layout,
         final_locations=layout.identity_locations(),
         note=f"controlled multi-target gate from site {spec.control}",
@@ -529,27 +494,27 @@ def controlled_unitary_program(
 
 
 def _controlled(
-    x: int, targets: Mapping[int, np.ndarray], layout: Layout, tau: float, phi_n: float, matrices: _Matrices
+    x: int, targets: Mapping[int, np.ndarray], layout: Layout, tau: float, phi_n: float
 ) -> list[Instruction]:
-    """:func:`controlled_unitary_program`'s instructions for checked `targets`, split once per build."""
+    """:func:`controlled_unitary_program`'s instructions; each target is checked and split once per process."""
     composite = _composite(x, layout, tau)
     if x in targets:
         raise InvalidInstructionError("the control site carries no target")
 
     sites = sorted(targets)
-    parts = {site: matrices.split(targets[site]) for site in sites}
+    parts = {site: _split(_check_unitary(targets[site]).tobytes()) for site in sites}
 
     instructions: list[Instruction] = []
-    instructions += [_local(layout.core_position(s), parts[s][2], f"C{s}") for s in sites]
+    instructions += [Local(layout.core_position(s), parts[s][2], f"C{s}") for s in sites]
     instructions += composite
-    instructions += _corrections(matrices, phi_n, x, layout)
-    instructions += [_local(layout.core_position(s), parts[s][1], f"B{s}") for s in sites]
+    instructions += phase_correction(phi_n, x, layout)
+    instructions += [Local(layout.core_position(s), parts[s][1], f"B{s}") for s in sites]
     instructions += composite
-    instructions += _corrections(matrices, phi_n, x, layout, control_position=layout.core_position(x))
-    instructions += [_local(layout.core_position(s), parts[s][0], f"A{s}") for s in sites]
+    instructions += phase_correction(phi_n, x, layout, control_position=layout.core_position(x))
+    instructions += [Local(layout.core_position(s), parts[s][0], f"A{s}") for s in sites]
     alpha_sum = sum(parts[s][3] for s in sites)
     if abs(cmath.exp(1j * alpha_sum) - 1.0) > 1e-15:
-        instructions.append(matrices.local(layout.core_position(x), phase_gate(alpha_sum), "alpha"))
+        instructions.append(Local(layout.core_position(x), phase_gate(alpha_sum), "alpha"))
     return instructions
 
 
@@ -569,15 +534,15 @@ def controlled_reflection_program(
     composite = _composite(control, layout, tau)
     if control in reflections:
         raise InvalidInstructionError("the control site carries no target")
-    conjugators = {site: reflection_conjugator(theta, phi) for site, (theta, phi) in reflections.items()}
-    sites = sorted(conjugators)
+    angles = {site: (theta, phi) for site, (theta, phi) in reflections.items()}
+    conjugators = {pair: reflection_conjugator(*pair) for pair in dict.fromkeys(angles.values())}
+    sites = sorted(angles)
 
-    matrices = _Matrices()
     instructions: list[Instruction] = []
-    instructions += [matrices.local(layout.core_position(s), conjugators[s].conj().T, f"Adag{s}") for s in sites]
+    instructions += [Local(layout.core_position(s), conjugators[angles[s]].conj().T, f"Adag{s}") for s in sites]
     instructions += composite
-    instructions += _corrections(matrices, phi_n, control, layout)
-    instructions += [matrices.local(layout.core_position(s), conjugators[s], f"A{s}") for s in sites]
+    instructions += phase_correction(phi_n, control, layout)
+    instructions += [Local(layout.core_position(s), conjugators[angles[s]], f"A{s}") for s in sites]
     return GateProgram(
         tuple(instructions),
         layout,

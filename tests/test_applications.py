@@ -22,7 +22,7 @@ from corechain import (
     zero_phase_profile,
 )
 
-from corechain import gates
+from corechain import dynamics, gates
 
 import oracles
 
@@ -122,23 +122,22 @@ class TestQft:
         with pytest.raises(ValueError):
             qft_program(3, layout=Layout(4, ancilla_count=1))
 
-    def test_build_checks_each_matrix_once_and_splits_each_target_once(self, monkeypatch):
-        calls = {"_check_unitary": 0, "_abc": 0}
-        for name in calls:
-            def counted(*args, _name=name, _original=getattr(gates, name)):
-                calls[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(gates, name, counted)
+    def test_build_checks_each_matrix_once_and_splits_each_target_once(self):
+        checks, splits = dynamics._checked_unitary, gates._split
+        checks.cache_clear()
+        splits.cache_clear()
         # the Hadamard, R(pi/2^k) for k = 1..11, each split's A, B and C, and one
         # alpha gate per fan: 56 at most, where checking every Local made 353
         qft_program(12)
-        assert calls["_check_unitary"] <= 56
-        assert calls["_abc"] == 11  # one per distinct target, not one per target (66)
-        calls["_abc"] = 0
+        assert checks.cache_info().misses <= 56
+        assert splits.cache_info().misses == 11  # one per distinct target, not one per target (66)
+        before = checks.cache_info().misses, splits.cache_info().misses
+        qft_program(12)
+        assert (checks.cache_info().misses, splits.cache_info().misses) == before  # a rebuild finds every one
+        splits.cache_clear()
         terms = tuple((PauliString.from_string(text), 1.0) for text in ("zzx", "xiy", "yzz"))
         trotter_program(TrotterPlan(terms, 0.1, 3))
-        assert calls["_abc"] == 1  # every term's string gate targets Z
+        assert splits.cache_info().misses == 1  # every term's string gate targets Z
 
 
 class TestAncillaVariant:

@@ -467,6 +467,61 @@ class TestLocals:
             swap_qubits(StateVector.zero(Layout(2)), 1, 1)
 
 
+# signed permutations, S and sqrt(X): their products have dyadic entries, exact in complex64
+_EXACT_FACTORS = (
+    np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    np.array([[1, 0], [0, -1]], dtype=np.complex128),
+    np.array([[1, 0], [0, 1j]], dtype=np.complex128),
+    np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=np.complex128) / 2,
+)
+
+
+@st.composite
+def unitary_inputs(draw):
+    """A 2x2 unitary as a caller may hand it over: complex128, complex64 or float, maybe strided, with -0.0 parts."""
+    dtype = draw(st.sampled_from([np.complex128, np.complex64, np.float64]))
+    if dtype is np.complex128 and draw(st.booleans()):  # e^{i phase} Rz(a) Ry(b) Rz(c)
+        a, b, c, phase = (draw(st.floats(-4.0, 4.0)) for _ in range(4))
+        cos, sin = math.cos(b / 2), math.sin(b / 2)
+        u = np.exp(1j * phase) * np.array(
+            [[cos * np.exp(-0.5j * (a + c)), -sin * np.exp(-0.5j * (a - c))],
+             [sin * np.exp(0.5j * (a - c)), cos * np.exp(0.5j * (a + c))]]
+        )
+    else:  # X and Z alone keep a float input real
+        u = np.eye(2, dtype=np.complex128)
+        for factor in draw(st.lists(st.sampled_from(_EXACT_FACTORS[: 2 if dtype is np.float64 else 4]), max_size=4)):
+            u = factor @ u
+    parts = u.view(np.float64)
+    parts[(parts == 0) & np.reshape(draw(st.lists(st.booleans(), min_size=8, max_size=8)), (2, 4))] = -0.0
+    u = u.real.astype(dtype) if dtype is np.float64 else u.astype(dtype)
+    shape = draw(st.sampled_from(["c", "f", "strided"]))
+    if shape == "f":
+        return np.asfortranarray(u)
+    if shape == "strided":
+        wide = np.ones((2, 4), dtype=u.dtype)
+        wide[:, 1::2] = u
+        return wide[:, 1::2]
+    return u
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(u=unitary_inputs(), bad=st.sampled_from(["scaled", "nan"]))
+def test_check_unitary_is_one_shared_read_only_array_per_matrix(u, bad):
+    out = dynamics._check_unitary(u)
+    assert out.dtype == np.complex128 and out.shape == (2, 2) and not out.flags.writeable
+    assert out is not u and not np.shares_memory(out, u) and u.flags.writeable
+    assert out.tobytes() == np.asarray(u, dtype=np.complex128).tobytes()  # equal, -0.0 signs too
+    assert dynamics._check_unitary(np.array(u)) is out and dynamics._check_unitary(out) is out
+    broken = np.array(u, dtype=np.complex128)
+    if bad == "scaled":
+        broken *= 1.5
+    else:
+        broken[1, 0] = math.nan
+    for _ in range(3):  # a refusal is not cached
+        with pytest.raises(NonUnitaryError, match="not unitary"):
+            dynamics._check_unitary(broken)
+
+
 class TestFidelity:
     def test_self(self):
         state = random_state(Layout(3), seed=1)

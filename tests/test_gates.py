@@ -59,6 +59,8 @@ from corechain import (
     zero_phase_profile,
 )
 
+from corechain import gates
+
 import oracles
 
 ZZ = PauliString.from_string("zz")
@@ -84,6 +86,42 @@ class TestProgramValidation:
         with pytest.raises(InvalidInstructionError, match="instruction 1"):
             GateProgram((FreeEvolve(math.pi), bad), layout)
         assert issubclass(InvalidInstructionError, ValueError)
+
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: GateProgram((Local(1.5, HADAMARD),), Layout(2, 1)), InvalidInstructionError),
+            (lambda: GateProgram((Local(1.0, HADAMARD),), Layout(2, 1)), InvalidInstructionError),
+            (lambda: GateProgram((Swap(1.0, 2),), Layout(2, 1)), InvalidInstructionError),
+            (lambda: GateProgram((Swap(1, 2.0),), Layout(2, 1)), InvalidInstructionError),
+            (lambda: Layout(2.5), InvalidLayoutError),
+            (lambda: Layout(2, ancilla_count=1.0), InvalidLayoutError),
+            (lambda: Layout(2, store_sites="1"), InvalidLayoutError),
+            (lambda: apply_local(StateVector.zero(Layout(2)), 0.0, np.eye(2)), InvalidInstructionError),
+            (lambda: swap_qubits(StateVector.zero(Layout(2)), 0.0, 1), InvalidInstructionError),
+            (lambda: swap_qubits(StateVector.zero(Layout(2)), 0, 1.0), InvalidInstructionError),
+        ],
+        ids=[
+            "local-1.5", "local-1.0", "swap-site-1.0", "swap-partner-2.0", "layout-2.5", "ancillas-1.0",
+            "stores-str", "apply-local-0.0", "swap-qubits-0.0", "swap-qubits-1.0",
+        ],
+    )
+    def test_non_integer_position_or_count_is_named(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_numpy_integers_stay_accepted(self):
+        layout = Layout(np.int64(2), np.int32(1))
+        program = GateProgram((Local(np.int64(0), HADAMARD), Swap(np.int64(1), np.int8(2))), layout)
+        state = execute(program, zero_phase_profile(2), StateVector.zero(Layout(2, 1)))
+        assert abs(state.amplitudes[0b001] - 1 / math.sqrt(2)) <= 1e-15
+        moved = swap_qubits(apply_local(StateVector.zero(Layout(2)), np.int64(0), PAULI_X), np.int64(0), 1)
+        assert moved.amplitudes[0b01] == 1
+
+    @pytest.mark.parametrize("matrix", [[["a", 1], [1, 0]], [[1, 0], [0]], [[1, {}], [0, 1]], [[10**400, 0], [0, 1]]])
+    def test_unreadable_matrix_is_named(self, matrix):
+        with pytest.raises(NonUnitaryError, match="expected a 2x2 complex matrix"):
+            Local(0, matrix)
 
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
     def test_nonfinite_duration(self, duration):
@@ -552,6 +590,24 @@ class TestControlledReflection:
                 expected[int("".join(map(str, phys)), 2)] = logical[idx]
             overlap = abs(np.vdot(expected, state.amplitudes))
             assert overlap >= 1.0 - 1e-8
+
+    def test_one_conjugator_per_angle_pair(self, monkeypatch):
+        calls = []
+
+        def counted(theta, phi, _original=gates.reflection_conjugator):
+            calls.append((theta, phi))
+            return _original(theta, phi)
+
+        monkeypatch.setattr(gates, "reflection_conjugator", counted)
+        layout = Layout(12, ancilla_count=1)
+        cat = controlled_reflection_program(1, {site: (0.0, 0.0) for site in range(2, 13)}, layout)
+        assert calls == [(0.0, 0.0)] and cat.local_count == 22  # one eigh for the 11 X targets, not 11
+        calls.clear()
+        mixed = {2: (0.3, 0.1), 3: [0.0, 0.0], 4: (0.3, 0.1), 5: (0.0, 0.0)}  # a list pair stays accepted
+        program = controlled_reflection_program(1, mixed, Layout(5, 1))
+        assert calls == [(0.3, 0.1), (0.0, 0.0)]
+        matrices = {op.label: op.matrix for op in program.instructions if isinstance(op, Local)}
+        assert matrices["A2"] is matrices["A4"] and matrices["A3"] is matrices["A5"]
 
 
 class TestCatState:
