@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, applications, chain, dynamics, gates, serialize
+from . import _kernels, analysis, applications, chain, dynamics, gates, serialize
 from .errors import InvalidCertificateError
 
 SCHEMA = "1"
@@ -190,9 +190,9 @@ def _cmd_qft(args) -> int:
         return _fail(f"--check builds a dense unitary and is capped at 10 sites, got {args.n}", 1)
     # a 1-site program has no free evolutions, so no chain is consulted
     profile = chain.zero_phase_profile(args.n) if args.n >= 2 else None
-    block = gates._block(program, profile, program.layout.core_position(1), args.n)
+    block = gates.program_block(program, profile, program.layout.core_position(1), args.n)
     if not args.bit_reversal:  # the output is bit-reversed: reverse the block's rows
-        block = dynamics._permute_raw(block, range(args.n - 1, -1, -1))
+        block = _kernels.order(block, range(args.n - 1, -1, -1))
     return _check_block(block, _dft_matrix(args.n), "DFT")
 
 
@@ -209,7 +209,7 @@ def _cmd_hamsim(args) -> int:
         return _fail(f"--check capped at 6 data sites, got {mask.n_sites}", 1)
     profile = chain.zero_phase_profile(program.layout.core_sites)
     # data site j sits on chain site j + 1, after the parity site
-    block = gates._block(program, profile, program.layout.core_position(2), mask.n_sites)
+    block = gates.program_block(program, profile, program.layout.core_position(2), mask.n_sites)
     # the string squares to the identity, so its exponential is closed-form
     string = mask.dense()
     target = math.cos(args.dt) * np.eye(string.shape[0]) - 1j * math.sin(args.dt) * string

@@ -22,36 +22,8 @@ an O(2^M) phase and site reversal; gate programs take those kernels there.
 Everything here is pure: operations return new states and never mutate
 their inputs.
 
-Kernels
--------
-The `_*_raw` functions are the kernel layer that public operations and
-lowered gate programs (:func:`corechain.gates._plan`) run on.  Each takes the
-amplitudes as a C-contiguous (2^M, columns) array, may write into it, and
-returns the result; `gates.execute`, `evolve`, `mirror_map` and
-`apply_local` copy a StateVector's read-only amplitudes first.  Viewed as a tensor with M axes
-of 2 and one of columns, the array need not hold qubit q on axis q: a plan
-carries the order, the axis that holds each qubit, so a swap and the site
-reversal of a mirror step move no amplitude.  Nor need it hold every qubit:
-a qubit known to be |0> has no axis, and the array has half the rows for
-each such qubit, until a Local inserts the axis or the plan materialises.
-
-- `_phase_raw` multiplies by the weight phases of a certified mirror step,
-  one 2^k table broadcast over the k axes that hold chain sites; an absent
-  site adds 0 to the weight, so the table is the first 2^k entries of the
-  chain's 2^N one.
-- `_locals_raw` applies a run of single-qubit unitaries as in-place
-  two-row passes on the axes it is given.
-- `_rotating_locals_raw` applies a run on one column by ascending axis.
-  Each pass reads the leading axis's two contiguous halves and writes them
-  interleaved into a second buffer, so the next axis leads; the axes come
-  out rotated, and the plan records the rotation instead of undoing it.
-- `_permute_raw` materialises an order with one transposing copy into the
-  |0> slice of a zeroed array: before the Givens network of `_evolve_raw`,
-  at the end of a plan, where a Local inserts the axes of absent qubits,
-  and as the site reversal of `mirror_map`.
-
-No kernel calls BLAS, so a wide batch of columns never meets a
-multi-threaded product.
+The array kernels these operations and lowered gate programs run on, and
+the array contract they share, are in :mod:`corechain._kernels`.
 """
 
 from __future__ import annotations
@@ -59,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
 
+from . import _kernels
 from .chain import CouplingProfile, single_excitation_matrix
 from .errors import (
     InvalidInstructionError, InvalidLayoutError, InvalidStateError,
@@ -74,8 +46,6 @@ MAX_TOTAL_QUBITS = 16
 MAX_DENSE_CORE = 12
 NORM_TOL = 1e-10
 UNITARY_TOL = 1e-10
-# amplitudes per block of a local pass, so its two scratch rows stay at 256 KB each
-_PASS_BLOCK = 1 << 14
 
 
 def _are_integers(*values) -> bool:
@@ -111,17 +81,17 @@ class Layout:
 
     def core_position(self, site: int) -> int:
         """Global qubit position of 1-based chain site `site`."""
-        if not 1 <= site <= self.core_sites:
+        if not (_are_integers(site) and 1 <= site <= self.core_sites):
             raise InvalidInstructionError(f"site {site} outside 1..{self.core_sites}")
         return site - 1
 
     def ancilla_position(self, k: int = 0) -> int:
-        if not 0 <= k < self.ancilla_count:
+        if not (_are_integers(k) and 0 <= k < self.ancilla_count):
             raise InvalidInstructionError(f"ancilla {k} outside 0..{self.ancilla_count - 1}")
         return self.core_sites + k
 
     def store_position(self, k: int = 0) -> int:
-        if not 0 <= k < self.store_sites:
+        if not (_are_integers(k) and 0 <= k < self.store_sites):
             raise InvalidInstructionError(f"store slot {k} outside 0..{self.store_sites - 1}")
         return self.core_sites + self.ancilla_count + k
 
@@ -171,33 +141,13 @@ def random_state(layout: Layout, seed=None, core_weight: int | None = None) -> S
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
     if core_weight is not None:
-        weights = _core_weights(layout.core_sites)
+        weights = _kernels.core_weights(layout.core_sites)
         rest = layout.dim >> layout.core_sites
         mask = np.repeat(weights == core_weight, rest)
         amps = np.where(mask, amps, 0.0)
         if not np.any(mask):
             raise InvalidStateError(f"no core states of weight {core_weight}")
     return StateVector(layout, amps / np.linalg.norm(amps))
-
-
-# ---------------------------------------------------------------------------
-# cached structure of the core Hamiltonian
-
-
-def _core_bits(n_sites: int) -> np.ndarray:
-    """Row s holds the bits of core index s, site 1 first.
-
-    Not cached: kept resident beside the propagator blocks, these tables
-    fragmented the heap and raised peak RSS by one or two 13 MB blocks.
-    """
-    return (np.arange(1 << n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-
-
-@lru_cache(maxsize=32)
-def _core_weights(n_sites: int) -> np.ndarray:
-    weights = _core_bits(n_sites).sum(axis=1)
-    weights.flags.writeable = False
-    return weights
 
 
 @lru_cache(maxsize=16)
@@ -230,160 +180,13 @@ def _block_eigensystems(profile: CouplingProfile):
 
 @lru_cache(maxsize=8)
 def _block_propagators(profile: CouplingProfile, t: float) -> np.ndarray:
-    # the dense core unitary for full_propagator only: the network on the identity columns.
+    # the dense core unitary for full_propagator only: the network on the identity columns,
+    # once the time is checked, so a build looks the eigensystem up once and a hit not at all.
     # 8 entries of up to 256 MB (12 sites); the benchmark reads this cache's counters
-    u = _evolve_raw(_block_eigensystems(profile), t, np.eye(1 << profile.n_sites, dtype=np.complex128))
+    eigensystem = _check_evolution(profile, profile.n_sites, t)
+    u = _kernels.evolve(eigensystem, t, np.eye(1 << profile.n_sites, dtype=np.complex128))
     u.flags.writeable = False
     return u
-
-
-# ---------------------------------------------------------------------------
-# raw array primitives (first axis = 2^M state index, second axis = batch)
-
-
-def _rotate(arr: np.ndarray, n_core: int, rotations, back: bool = False) -> None:
-    """The Givens network, in place on a C-contiguous complex array; `back` undoes it.
-
-    Each rotation is one 2x2 real product on the (|01>, |10>) rows of sites
-    (p, p+1), on the float64 view; |00> and |11> (determinant one) stay.
-    """
-    flat = arr.reshape(1 << n_core, -1).view(np.float64)
-    for p, g in reversed(rotations) if back else rotations:
-        pair = flat.reshape(1 << p, 4, -1)[:, 1:3]
-        pair[...] = (g.T if back else g) @ pair
-
-
-def _evolve_raw(eigensystem, t: float, arr: np.ndarray) -> np.ndarray:
-    """exp(-i H t) from a `_block_eigensystems` entry, in place: into the mode basis, phase, and back."""
-    energies, rotations = eigensystem
-    n_core = len(energies)
-    core = np.reshape(arr, (1 << n_core, -1), copy=False)
-    _rotate(core, n_core, rotations)
-    core *= np.exp(-1j * float(t) * (_core_bits(n_core) @ energies))[:, None]
-    _rotate(core, n_core, rotations, back=True)
-    return arr
-
-
-def _mirror_phases(n_sites: int, phi_n: float) -> np.ndarray:
-    """exp(-i n phi_n) (-1)^((n-m)/2), m = n mod 2, for each core index of weight n."""
-    weights = _core_weights(n_sites)
-    n = weights.astype(float)
-    return np.exp(-1j * n * phi_n) * ((-1.0) ** ((weights - (weights & 1)) // 2))
-
-
-def _local_in_place(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) -> None:
-    """Two-row pass of a 2x2 unitary on the (2^qubit, 2, rest) view, written into `arr`.
-
-    A diagonal unitary scales the rows.  Otherwise `scratch` holds two rows
-    (the new bottom row and one product) of min(size / 2, _PASS_BLOCK)
-    amplitudes, so a pass, block by block, needs no array-sized temporary.
-    """
-    view = np.reshape(arr, (1 << qubit, 2, -1), copy=False)
-    if u[0, 1] == 0 and u[1, 0] == 0:
-        view *= np.diagonal(u)[:, None]
-        return
-    lead, _, rest = view.shape
-    width, height = min(rest, _PASS_BLOCK), max(1, _PASS_BLOCK // rest)
-    for i in range(0, lead, height):
-        for j in range(0, rest, width):
-            top = view[i : i + height, 0, j : j + width]
-            bottom = view[i : i + height, 1, j : j + width]
-            new_bottom, product = (row[: top.size].reshape(top.shape) for row in scratch)
-            np.multiply(top, u[1, 0], out=new_bottom)
-            np.multiply(u[1, 1], bottom, out=product)
-            new_bottom += product
-            top *= u[0, 0]
-            np.multiply(u[0, 1], bottom, out=product)
-            top += product
-            bottom[...] = new_bottom
-
-
-def _locals_raw(arr: np.ndarray, run: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """A run of 2x2 unitaries on distinct qubits, applied in order as in-place two-row passes."""
-    scratch = np.empty((2, min(arr.size // 2, _PASS_BLOCK)), dtype=arr.dtype)
-    for qubit, u in run:
-        _local_in_place(arr, qubit, u, scratch)
-    return arr
-
-
-def _rotating_locals_raw(arr: np.ndarray, passes: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
-    """A run of 2x2 unitaries on one column, by ascending axis, rotating the axes as it goes.
-
-    Each pass reads the leading axis's two contiguous halves and writes the
-    new rows interleaved into the other of two buffers (`arr` and one new
-    array), so that axis becomes the last and the next one leads.  Axes the
-    run skips are rotated past with one transposing copy per gap.  The
-    result holds old axis a on axis (a - shift) mod M, where shift is the
-    last pass's axis + 1; its values are bit for bit those of one
-    `_local_in_place` per entry of `passes`, in that order.
-    """
-    half = arr.size // 2
-    src, dst = arr.reshape(-1), np.empty(arr.size, dtype=arr.dtype)
-    first, product = np.empty((2, half), dtype=arr.dtype)
-    lead = 0
-    for axis, u in passes:
-        if axis > lead:
-            dst.reshape(-1, 1 << (axis - lead))[...] = src.reshape(1 << (axis - lead), -1).T
-            src, dst = dst, src
-        top, bottom = src.reshape(2, half)
-        pairs = dst.reshape(half, 2).T
-        if u[0, 1] == 0 and u[1, 0] == 0:
-            np.multiply(top, u[0, 0], out=pairs[0])
-            np.multiply(bottom, u[1, 1], out=pairs[1])
-        else:
-            for row, out in enumerate(pairs):
-                np.multiply(top, u[row, 0], out=first)
-                np.multiply(u[row, 1], bottom, out=product)
-                np.add(first, product, out=out)
-        src, dst, lead = dst, src, axis + 1
-    return src.reshape(arr.shape)
-
-
-def _phase_blocks(phases: np.ndarray, chain_axes: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The array's block shape and `phases` viewed to broadcast over it, for `_phase_raw`.
-
-    Runs of consecutive axes that hold chain sites, or that do not, each
-    merge into one block, and the axes after the last chain axis into the
-    columns.  The table's bits go to the chain axes in ascending order,
-    which is exact because the phase depends only on the weight.
-    """
-    held = set(chain_axes)
-    arr_shape, table_shape = [], []
-    for is_chain, block in groupby(range(max(held) + 1), key=held.__contains__):
-        size = 1 << len(list(block))
-        arr_shape.append(size)
-        table_shape.append(size if is_chain else 1)
-    return (*arr_shape, -1), phases.reshape(*table_shape, 1)
-
-
-def _phase_raw(arr: np.ndarray, shape: tuple[int, ...], phases: np.ndarray) -> np.ndarray:
-    """Multiply in place by `phases` broadcast over the `shape` view of `arr`.
-
-    A last axis of more than one entry that is shorter than the block before
-    it (a trailing ancilla on one column) is looped over, so each multiply
-    runs along that block instead.
-    """
-    view = arr.reshape(shape)
-    if 1 < view.shape[-1] < view.shape[-2]:
-        for j in range(view.shape[-1]):
-            view[..., j] *= phases[..., 0]
-    else:
-        view *= phases
-    return arr
-
-
-def _permute_raw(arr: np.ndarray, order: Sequence[int | None]) -> np.ndarray:
-    """The amplitudes with qubit q on axis q, read from axis order[q]: one transposing copy.
-
-    Axes after the ordered ones stay where they are.  A qubit whose order is
-    None has no axis in `arr` and is |0>: the copy fills the |0> slice of an
-    array that is otherwise zero and has 2^(number of None) times the rows.
-    """
-    axes = [axis for axis in order if axis is not None]
-    out = np.zeros((1 << len(order), arr.size >> len(axes)), dtype=arr.dtype)
-    held = out.reshape([2] * len(order) + [-1])[tuple(0 if axis is None else slice(None) for axis in order)]
-    held[...] = arr.reshape([2] * len(axes) + [-1]).transpose(*axes, len(axes))
-    return out.reshape(-1, arr.shape[-1])
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -412,10 +215,6 @@ def _checked_unitary(key: bytes) -> np.ndarray:
     return u
 
 
-# ---------------------------------------------------------------------------
-# public operations
-
-
 def _check_evolution(profile: CouplingProfile, n_sites: int, times):
     """The chain's eigensystem, once the layout matches and every time keeps the mode phases finite."""
     if profile.n_sites != n_sites:
@@ -429,7 +228,7 @@ def _check_evolution(profile: CouplingProfile, n_sites: int, times):
 def evolve(profile: CouplingProfile, state: StateVector, t: float) -> StateVector:
     """Apply exp(-i H t) to the core factor; ancilla and store are untouched."""
     eigensystem = _check_evolution(profile, state.layout.core_sites, t)
-    amps = _evolve_raw(eigensystem, t, state.amplitudes[:, None].copy())
+    amps = _kernels.evolve(eigensystem, t, state.amplitudes[:, None].copy())
     return StateVector(state.layout, amps[:, 0])
 
 
@@ -447,9 +246,9 @@ def evolution_overlaps(
     energies, rotations = _check_evolution(profile, ket.layout.core_sites, times)
     n_core = profile.n_sites
     modes = np.stack([bra.amplitudes, ket.amplitudes], axis=1)
-    _rotate(modes, n_core, rotations)
+    _kernels.rotate(modes, n_core, rotations)
     weights = (modes[:, 0].conj() * modes[:, 1]).reshape(1 << n_core, -1).sum(axis=1)
-    return np.exp(-1j * np.multiply.outer(times, _core_bits(n_core) @ energies)) @ weights
+    return np.exp(-1j * np.multiply.outer(times, _kernels.core_bits(n_core) @ energies)) @ weights
 
 
 @dataclass(frozen=True)
@@ -466,7 +265,6 @@ def full_propagator(profile: CouplingProfile, t: float) -> Propagator:
         raise SizeLimitError(
             f"dense propagator capped at {MAX_DENSE_CORE} sites, got {profile.n_sites}"
         )
-    _check_evolution(profile, profile.n_sites, t)
     return Propagator(float(t), _block_propagators(profile, float(t)))
 
 
@@ -481,9 +279,9 @@ def mirror_map(state: StateVector, phi_n: float) -> StateVector:
     n_sites = state.layout.core_sites
     if not math.isfinite(float(phi_n) * n_sites):  # the largest weight phase, n_sites phi_n
         raise NonFiniteTimeError(f"phi_n and its weight phases must be finite, got {phi_n}")
-    phases = _mirror_phases(n_sites, phi_n)[:, None]
-    amps = _phase_raw(state.amplitudes[:, None].copy(), (1 << n_sites, -1), phases)
-    amps = _permute_raw(amps, range(n_sites - 1, -1, -1))
+    phases = _kernels.mirror_phases(n_sites, phi_n)[:, None]
+    amps = _kernels.phase(state.amplitudes[:, None].copy(), (1 << n_sites, -1), phases)
+    amps = _kernels.order(amps, range(n_sites - 1, -1, -1))
     return StateVector(state.layout, amps[:, 0])
 
 
@@ -492,7 +290,7 @@ def apply_local(state: StateVector, qubit: int, u: np.ndarray) -> StateVector:
     u = _check_unitary(u)
     if not (_are_integers(qubit) and 0 <= qubit < state.layout.total_qubits):
         raise InvalidInstructionError(f"qubit {qubit} outside 0..{state.layout.total_qubits - 1}")
-    amps = _locals_raw(state.amplitudes[:, None].copy(), ((qubit, u),))
+    amps = _kernels.local_run(state.amplitudes[:, None].copy(), ((qubit, u),))
     return StateVector(state.layout, amps[:, 0])
 
 
@@ -505,7 +303,7 @@ def swap_qubits(state: StateVector, a: int, b: int) -> StateVector:
         raise InvalidInstructionError(f"qubits {a}, {b} outside 0..{total - 1}")
     order = list(range(total))
     order[a], order[b] = b, a
-    amps = _permute_raw(state.amplitudes[:, None], order)
+    amps = _kernels.order(state.amplitudes[:, None], order)
     return StateVector(state.layout, amps[:, 0])
 
 

@@ -11,20 +11,14 @@ unitaries with all qubits restored to their original locations.
 Programs are plain instruction sequences (applied in list order, first
 instruction first) over a fixed layout.  Execution is pure: a program is
 lowered once per chain, and once for one amplitude column or for a wider
-batch, into a plan of :mod:`corechain.dynamics` kernel calls (see
-:func:`_plan`), which every caller runs.  The plan carries a qubit order,
-the array axis that holds each qubit, so the paper's store-core swaps and
-the site reversal of each mirror cost no amplitude move: only the mirror's
-phase multiply and the local gates touch the array, on the axes the order
-names.  A qubit the input holds in |0> has no axis until a Local touches
-it, so the array holds 2^(present qubits) amplitudes per column: `execute`
-leaves out each qubit whose bit is 0 in every nonzero amplitude's index,
-and the CLI's blocks every qubit outside the block.  A store ancilla in |0>,
-and the home site a controlled-Z composite empties, halve every pass.  One
-transposing copy into the |0> slice of a zeroed array, in natural order,
-precedes each Givens-network evolution and ends the plan, so `execute`,
-`program_unitary` and the CLI's blocks all see every amplitude in natural
-order.
+batch, into a plan of :mod:`corechain._kernels` calls (see :func:`_plan`),
+which `execute`, `program_unitary` and `program_block` run on arrays kept
+to the contract written there.  The paper's store-core swaps and the site
+reversal of each mirror move no amplitude: only the mirror's phase
+multiply and the local gates touch the array.  `execute` leaves out each
+qubit whose bit is 0 in every nonzero amplitude's index, and
+`program_block` every qubit outside the block, so a store ancilla in |0>,
+and the home site a controlled-Z composite empties, halve every pass.
 
 Every matrix is checked where it enters: `Local`, `TargetSpec`,
 `abc_decompose` and `apply_local` check the matrix they are handed,
@@ -48,9 +42,9 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from . import dynamics
+from . import _kernels
 from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
-from .dynamics import Layout, StateVector, _are_integers, _check_unitary, apply_local
+from .dynamics import Layout, StateVector, _are_integers, _check_evolution, _check_unitary, apply_local
 from .errors import (
     InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, NonUnitaryError,
     UnsupportedConfigurationError,
@@ -68,10 +62,6 @@ def phase_gate(phi: float) -> np.ndarray:
     if not math.isfinite(phi):
         raise NonUnitaryError(f"phase angle phi must be finite, got {phi}")
     return np.array([[1, 0], [0, cmath.exp(1j * phi)]], dtype=np.complex128)
-
-
-# ---------------------------------------------------------------------------
-# instructions and programs
 
 
 @dataclass(frozen=True)
@@ -173,8 +163,8 @@ def _mirror_table(
     if duration > 0:
         certificate = mirror_certificate(profile, duration)  # refuses a period that overflows the phases
         if mirror_is_closed_form(profile, certificate):
-            return dynamics._mirror_phases(n_sites, certificate.phi_n), None
-    return None, dynamics._check_evolution(profile, n_sites, duration)
+            return _kernels.mirror_phases(n_sites, certificate.phi_n), None
+    return None, _check_evolution(profile, n_sites, duration)
 
 
 def _fused_locals(run: Iterable[Local]) -> dict[int, np.ndarray]:
@@ -189,27 +179,25 @@ def _fused_locals(run: Iterable[Local]) -> dict[int, np.ndarray]:
 def _plan(
     program: GateProgram, profile: CouplingProfile, one_column: bool, absent: frozenset[int]
 ) -> tuple[_Step, ...]:
-    """Lower the program for one chain into kernel calls on the amplitude array.
+    """Lower the program for one chain into :mod:`corechain._kernels` calls.
 
     `order[q]` is qubit q's slot, the array axis that holds it when no
     qubit is absent.  A Swap exchanges two entries and a closed-form mirror
-    reverses the chain's entries after its phase multiply, so neither moves
-    an amplitude.  A run of Locals on one column rotates the slots and the
-    order records the rotation; a wider batch runs in place on the qubits'
-    current axes, in first-seen order.
+    reverses the chain's entries after its phase multiply.  A run of Locals
+    on one column rotates the slots and the order records the rotation; a
+    wider batch runs in place on the qubits' current axes, in first-seen
+    order.
 
-    The qubits in `absent` start in |0>.  Their slots are `empty`: the
-    array has no axis for them, so it has 2^(present qubits) rows, and a
+    The qubits in `absent` start in |0>.  Their slots are `empty`, and a
     slot's axis is its rank among the other slots.  A swap or a reversal
     carries an empty slot along.  `axes` holds every slot's axis (None for
     an empty one) and is rebuilt only when `empty` changes.  A mirror
-    multiplies by the weight phases of the present chain axes, the table's
-    first 2^k entries, since an absent site adds 0 to the weight; one step
-    serves every mirror of a duration on the same chain axes.  A Local on an absent qubit first
-    inserts its axis, with a zero |1> half, at its slot's rank, so a run
-    makes its passes in the order it makes them with nothing absent and
-    every amplitude is bit for bit the same, up to the sign of an exact
-    zero.  Before a Givens network and at the end the array is
+    multiplies by the weight phases of the present chain axes; one step
+    serves every mirror of a duration on the same chain axes.  A Local on an
+    absent qubit first inserts its axis, with a zero |1> half, at its slot's
+    rank, so a run makes its passes in the order it makes them with nothing
+    absent and every amplitude is bit for bit the same, up to the sign of an
+    exact zero.  Before a Givens network and at the end the array is
     materialised, in natural order with nothing absent, so every caller
     sees all 2^M rows.
     """
@@ -230,7 +218,7 @@ def _plan(
 
     def copy_to(slots: Iterable[int]):
         """The one-copy step whose axis k holds slot k of `slots`, |0> where that slot is empty."""
-        steps.append(partial(dynamics._permute_raw, order=tuple(axes[s] for s in slots)))
+        steps.append(partial(_kernels.order, order=tuple(axes[s] for s in slots)))
 
     def materialise():
         nonlocal order
@@ -251,13 +239,13 @@ def _plan(
             passes = [(axes[order[q]], u) for q, u in fused.items()]
             if one_column:
                 passes.sort(key=lambda entry: entry[0])
-                steps.append(partial(dynamics._rotating_locals_raw, passes=tuple(passes)))
+                steps.append(partial(_kernels.rotating_local_run, passes=tuple(passes)))
                 shift = max(order[q] for q in fused) + 1
                 order = [(slot - shift) % len(order) for slot in order]
                 if empty:
                     set_empty((slot - shift) % len(order) for slot in empty)
             else:
-                steps.append(partial(dynamics._locals_raw, run=tuple(passes)))
+                steps.append(partial(_kernels.local_run, run=tuple(passes)))
             continue
         for op in run:
             if isinstance(op, Swap):
@@ -269,14 +257,14 @@ def _plan(
             phases, eigensystem = lowered[op.duration]
             if phases is None:
                 materialise()
-                steps.append(partial(dynamics._evolve_raw, eigensystem, op.duration))
+                steps.append(partial(_kernels.evolve, eigensystem, op.duration))
                 continue
             chain = tuple(axes[slot] for slot in order[:n_sites] if slot not in empty)
             if chain:
                 key = (op.duration, chain)
                 if key not in phase_steps:
-                    shape, view = dynamics._phase_blocks(phases[: 1 << len(chain)], chain)
-                    phase_steps[key] = partial(dynamics._phase_raw, shape=shape, phases=view)
+                    shape, view = _kernels.phase_blocks(phases[: 1 << len(chain)], chain)
+                    phase_steps[key] = partial(_kernels.phase, shape=shape, phases=view)
                 steps.append(phase_steps[key])
             order[:n_sites] = order[n_sites - 1 :: -1]
     materialise()
@@ -306,7 +294,7 @@ def execute(program: GateProgram, profile: CouplingProfile, state: StateVector) 
     return StateVector(program.layout, _run(program, profile, start.copy().reshape(-1, 1), absent)[:, 0])
 
 
-def _block(program: GateProgram, profile: CouplingProfile | None, first: int, count: int) -> np.ndarray:
+def program_block(program: GateProgram, profile: CouplingProfile | None, first: int, count: int) -> np.ndarray:
     """The program's block on the adjacent qubits first..first+count-1, every other qubit in |0>.
 
     The plan runs the 2^count identity columns with every other qubit
@@ -321,11 +309,7 @@ def _block(program: GateProgram, profile: CouplingProfile | None, first: int, co
 
 def program_unitary(program: GateProgram, profile: CouplingProfile) -> np.ndarray:
     """Dense unitary of the whole program over the full layout."""
-    return _block(program, profile, 0, program.layout.total_qubits)
-
-
-# ---------------------------------------------------------------------------
-# the controlled-Z composite and its phase bookkeeping
+    return program_block(program, profile, 0, program.layout.total_qubits)
 
 
 def controlled_z_program(control: int, layout: Layout, tau: float = math.pi) -> GateProgram:
@@ -348,7 +332,7 @@ def _composite(control: int, layout: Layout, tau: float) -> tuple[Instruction, .
     """The controlled-Z composite's three instructions, once the layout and control allow it."""
     if layout.ancilla_count < 1:
         raise UnsupportedConfigurationError("the controlled-Z composite needs an ancilla in the store")
-    if not 1 <= control <= layout.core_sites:
+    if not (_are_integers(control) and 1 <= control <= layout.core_sites):
         raise InvalidInstructionError(f"control site {control} outside 1..{layout.core_sites}")
     return (FreeEvolve(tau), Swap(layout.mirror_site(control), layout.ancilla_position(0)), FreeEvolve(tau))
 
@@ -373,10 +357,6 @@ def phase_correction(
     gates.append(Local(control_position, doubled, "R(2phi)"))
     gates.append(Local(control_position, phase_gate(-phi_n), "R(-phi)"))
     return tuple(gates)
-
-
-# ---------------------------------------------------------------------------
-# local decompositions
 
 
 def reflection_conjugator(theta: float, phi: float) -> np.ndarray:
@@ -460,10 +440,6 @@ def _abc(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     return gate_a, gate_b, gate_c, alpha
 
 
-# ---------------------------------------------------------------------------
-# controlled multi-target programs
-
-
 @dataclass(frozen=True, eq=False)
 class TargetSpec:
     """Control site plus per-site target unitaries (kept as read-only copies); absent sites act as identity."""
@@ -472,6 +448,8 @@ class TargetSpec:
     targets: Mapping[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _are_integers(*self.targets):
+            raise InvalidInstructionError(f"target sites must be integers, got {list(self.targets)}")
         object.__setattr__(self, "targets", {int(s): _check_unitary(u) for s, u in self.targets.items()})
 
 

@@ -5,7 +5,9 @@ constructor, exceptions their base class (and constructor, when they define
 one), modules "module" and constants their type.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import corechain
 
@@ -172,3 +174,57 @@ def test_public_names_and_signatures_are_fixed():
     assert sorted(corechain.__all__) == sorted(SURFACE)
     for name, expected in SURFACE.items():
         assert describe(getattr(corechain, name)) == expected, name
+
+
+# The private names one module may read from another: the boundary checks that
+# every entry point shares, and the controlled-gate body the applications extend.
+# Everything else a module needs from another has a plain name there.
+PRIVATE_READS = {
+    ("dynamics", "_check_unitary"),
+    ("dynamics", "_are_integers"),
+    ("dynamics", "_check_evolution"),
+    ("gates", "_controlled"),
+}
+SOURCE = Path(corechain.__file__).resolve().parent
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(path: Path) -> set[tuple[str, str]]:
+    """(module, name) for each `_`-prefixed name the file reads from a corechain module.
+
+    It reads one through `from .m import _x` (or `from corechain.m import _x`)
+    and through `m._x`, where `m` is bound to a corechain module by an import.
+    A private module itself (`from . import _kernels`) is not a read.
+    """
+    modules = {p.stem for p in SOURCE.glob("*.py")}
+    bound, reads, attributes = {}, set(), []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "corechain":
+                    continue
+                module = module.removeprefix("corechain").lstrip(".")
+            for alias in node.names:
+                if not module and alias.name in modules:
+                    bound[alias.asname or alias.name] = alias.name
+                elif is_private(alias.name):
+                    reads.add((module or "corechain", alias.name))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("corechain.") and alias.asname:
+                    bound[alias.asname] = alias.name.removeprefix("corechain.")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and is_private(node.attr):
+            attributes.append((node.value.id, node.attr))
+    reads.update((bound[name], attr) for name, attr in attributes if name in bound)
+    return {(module, name) for module, name in reads if module != path.stem}
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = {(path.name, *read) for path in sorted(SOURCE.glob("*.py")) for read in private_reads(path)}
+    unexpected = sorted(f"{file}: {module}.{name}" for file, module, name in reads if (module, name) not in PRIVATE_READS)
+    assert not unexpected, "private names read across modules:\n" + "\n".join(unexpected)
+    assert {(module, name) for _, module, name in reads} == PRIVATE_READS  # the allowlist stays exact

@@ -484,7 +484,7 @@ def test_qft_data_block_matches_full_unitary(n, bit_reversal):
     profile = zero_phase_profile(n) if n >= 2 else None
     positions = [program.layout.core_position(s) for s in range(1, n + 1)]
     expected = oracles.data_block(program_unitary(program, profile), program.layout, positions)
-    assert np.array_equal(gates._block(program, profile, positions[0], n), expected)
+    assert np.array_equal(gates.program_block(program, profile, positions[0], n), expected)
 
 
 @pytest.mark.parametrize(
@@ -503,7 +503,7 @@ def test_hamsim_data_block_matches_full_unitary(build, mask):
     profile = zero_phase_profile(program.layout.core_sites)
     positions = [program.layout.core_position(s + 1) for s in range(1, len(mask) + 1)]
     expected = oracles.data_block(program_unitary(program, profile), program.layout, positions)
-    assert np.array_equal(gates._block(program, profile, positions[0], len(mask)), expected)
+    assert np.array_equal(gates.program_block(program, profile, positions[0], len(mask)), expected)
 
 
 # chain sites, ancilla and store: the whole register, a leading, a middle and a trailing block
@@ -529,7 +529,7 @@ def test_block_matches_one_column_runs(first, count):
         for column in np.eye(layout.dim, dtype=complex)
     ]
     expected = oracles.data_block(np.column_stack(columns), layout, range(first, first + count))
-    assert np.max(np.abs(gates._block(program, profile, first, count) - expected)) <= 1e-12
+    assert np.max(np.abs(gates.program_block(program, profile, first, count) - expected)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

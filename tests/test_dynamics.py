@@ -14,15 +14,12 @@ from corechain import (
     CouplingProfile,
     FreeEvolve,
     GateProgram,
-    HADAMARD,
     InvalidProfileError,
     InvalidStateError,
     NonFiniteTimeError,
     NonUnitaryError,
-    PAULI_Y,
     Spectrum,
     Layout,
-    Local,
     SizeLimitError,
     StateVector,
     apply_local,
@@ -39,10 +36,11 @@ from corechain import (
     swap_qubits,
     zero_phase_profile,
 )
-from corechain import dynamics
+from corechain import _kernels, dynamics
 from corechain.serialize import profile_from_dict
 
 import oracles
+from test_kernels import TestKernels  # noqa: F401  (collected here too, so its tests keep their ids)
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
@@ -175,6 +173,11 @@ class TestEvolve:
         evolution_overlaps(profile, state, state, [0.1, 0.2])
         after = dynamics._block_eigensystems.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+        full_propagator(profile, 0.3)  # a build
+        built = dynamics._block_eigensystems.cache_info()
+        assert (built.hits - after.hits, built.misses - after.misses) == (1, 0)
+        full_propagator(profile, 0.3)  # a cached propagator
+        assert dynamics._block_eigensystems.cache_info() == built
 
     def test_rejects_nonfinite_profile(self):
         profile = CouplingProfile(3, (1.0, 1.0), (math.inf, 1.0, math.inf))
@@ -323,102 +326,6 @@ class TestMirrorMap:
             assert abs(twice.amplitudes[index] - expected) <= 1e-12
 
 
-def _dense_or_diagonal(rng, k):
-    if k % 2:
-        return np.diag(np.exp(1j * rng.uniform(-math.pi, math.pi, 2)))
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    return np.linalg.qr(z)[0]
-
-
-# one column, an odd count, and a wide power of two (no transposed qubits there)
-KERNEL_SHAPES = [(m, cols) for m in range(2, 17) for cols in (1, 3, 1 << max(1, 17 - m))]
-
-
-def _passes_in_order(arr, run):
-    """One `_local_in_place` per entry of `run`, in order, on a copy never transposed: the kernels' reference."""
-    expected = arr.copy()
-    scratch = np.empty((2, arr.size // 2), dtype=arr.dtype)
-    for qubit, u in run:
-        dynamics._local_in_place(expected, qubit, u, scratch)
-    return expected
-
-
-class TestKernels:
-    """The run and mirror kernels against the passes and gathers they replace, bit for bit."""
-
-    @pytest.mark.parametrize("m, cols", KERNEL_SHAPES, ids=[f"M{m}-cols{c}" for m, c in KERNEL_SHAPES])
-    def test_run_equals_one_pass_per_qubit(self, m, cols):
-        rng = np.random.default_rng([m, cols])
-        arr = rng.standard_normal((1 << m, cols)) + 1j * rng.standard_normal((1 << m, cols))
-        arr.flags.writeable = False  # the kernel gets copies; the references read this
-        # every position in a shuffled order, ending on the last qubit (the store, or
-        # the ancilla), and an ascending run that wraps to qubit 0 as the QFT's do
-        orders = ([*map(int, rng.permutation(m - 1)), m - 1], [*range(1, m), 0])
-        for order in orders:
-            run = tuple((q, _dense_or_diagonal(rng, k)) for k, q in enumerate(order))
-            assert np.array_equal(dynamics._locals_raw(arr.copy(), run), _passes_in_order(arr, run))
-        for qubit, u in run:  # one-entry runs, as apply_local makes them
-            single = dynamics._locals_raw(arr.copy(), ((qubit, u),))
-            assert np.array_equal(single, _passes_in_order(arr, ((qubit, u),)))
-
-    @pytest.mark.parametrize("m", range(2, 17))
-    def test_rotating_run_equals_passes_by_ascending_axis(self, m):
-        rng = np.random.default_rng(m)
-        arr = rng.standard_normal((1 << m, 1)) + 1j * rng.standard_normal((1 << m, 1))
-        arr.flags.writeable = False
-        # every axis; a run that skips the leading axis and leaves gaps; one on the last axis
-        for axes in (range(m), sorted(rng.choice(range(1, m), (m + 1) // 2, replace=False)), [m - 1]):
-            run = tuple((int(axis), _dense_or_diagonal(rng, k)) for k, axis in enumerate(axes))
-            shift = run[-1][0] + 1  # the kernel leaves old axis a on axis (a - shift) mod m
-            expected = _passes_in_order(arr, run).reshape([2] * m)
-            expected = expected.transpose(*((a + shift) % m for a in range(m))).reshape(arr.shape)
-            assert np.array_equal(dynamics._rotating_locals_raw(arr.copy(), run), expected)
-
-    @pytest.mark.parametrize("m, cols", [(2, 1), (5, 1), (9, 1), (9, 3), (9, 64), (13, 1)])
-    def test_phase_over_chain_axes_equals_phase_by_core_index(self, m, cols):
-        rng = np.random.default_rng([m, cols])
-        arr = rng.standard_normal((1 << m, cols)) + 1j * rng.standard_normal((1 << m, cols))
-        for n in {1, m - 1, m} - {0}:
-            phases = dynamics._mirror_phases(n, 0.37)
-            for chain in (range(n), range(m - n, m), sorted(rng.choice(m, n, replace=False))):
-                # the same array with the chain's axes first, where the table indexes the core
-                rest = [a for a in range(m) if a not in chain]
-                gathered = arr.reshape([2] * m + [cols]).transpose(*chain, *rest, m).reshape(1 << n, -1)
-                shape, table = dynamics._phase_blocks(phases, list(chain))
-                out = dynamics._phase_raw(arr.copy(), shape, table)
-                out = out.reshape([2] * m + [cols]).transpose(*chain, *rest, m).reshape(1 << n, -1)
-                assert np.array_equal(out, gathered * phases[:, None])
-
-    def test_run_writes_into_its_argument(self):
-        arr = np.zeros((1 << 10, 1), dtype=np.complex128)
-        arr[0] = 1.0
-        out = dynamics._locals_raw(arr, tuple((q, HADAMARD) for q in range(10)))
-        assert np.shares_memory(out, arr)
-        assert_allclose(np.abs(out[:, 0]), np.full(1 << 10, 2**-5))
-
-    def test_public_operations_leave_the_state_alone(self):
-        layout = Layout(4, ancilla_count=1)
-        profile = zero_phase_profile(4)
-        state = random_state(layout, seed=3)
-        # writeable, so a missing boundary copy would overwrite the state instead of raising
-        state.amplitudes.flags.writeable = True
-        saved = state.amplitudes.copy()
-        hadamards = GateProgram(tuple(Local(q, HADAMARD) for q in range(5)), layout)
-        execute(hadamards, profile, state)  # the plan starts with a run of Locals
-        execute(GateProgram((FreeEvolve(0.7),), layout), profile, state)  # and with the network
-        evolve(profile, state, 0.7)
-        for qubit in (1, 4):  # a chain site and the ancilla
-            apply_local(state, qubit, PAULI_Y)
-        assert np.array_equal(state.amplitudes, saved)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 12])
-    @pytest.mark.parametrize("ancillas, stores", [(0, 0), (1, 0), (0, 1), (1, 3)])
-    def test_mirror_map_equals_gather_and_phase(self, n, ancillas, stores):
-        state = random_state(Layout(n, ancillas, stores), seed=[n, ancillas, stores])
-        expected = oracles.mirror_gather(state.amplitudes, n, dynamics._mirror_phases(n, 0.37))
-        assert np.array_equal(mirror_map(state, 0.37).amplitudes, expected)
-
-
 class TestLocals:
     def test_identity_noop(self):
         layout = Layout(2)
@@ -551,9 +458,9 @@ class TestCoreTables:
     @pytest.mark.parametrize("n", range(1, 10))
     def test_weights_and_site_reversal(self, n):
         weights = [bin(s).count("1") for s in range(1 << n)]
-        assert dynamics._core_weights(n).tolist() == weights
+        assert _kernels.core_weights(n).tolist() == weights
         # the relabel that mirror_map and `qft --check` make, on the core indices themselves
-        reversed_indices = dynamics._permute_raw(np.arange(1 << n)[:, None], range(n - 1, -1, -1))
+        reversed_indices = _kernels.order(np.arange(1 << n)[:, None], range(n - 1, -1, -1))
         assert reversed_indices[:, 0].tolist() == oracles.site_reversal(n).tolist()
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -569,15 +476,15 @@ class TestCoreTables:
             CouplingProfile(n, tuple(-w for w in recon.omegas), recon.lambdas),
             CouplingProfile(n, tuple(open_ends), recon.lambdas),
         )
-        weights = dynamics._core_weights(n)
-        table = dynamics._core_bits(n)
+        weights = _kernels.core_weights(n)
+        table = _kernels.core_bits(n)
         for profile in profiles:
             mode_energies, rotations = dynamics._block_eigensystems(profile)
             for w in range(n + 1):
                 idx = np.flatnonzero(weights == w)
                 columns = np.zeros((1 << n, idx.size), dtype=np.complex128)
                 columns[idx, np.arange(idx.size)] = 1.0
-                dynamics._rotate(columns, n, rotations, back=True)
+                _kernels.rotate(columns, n, rotations, back=True)
                 assert np.all(columns.imag == 0) and np.all(np.delete(columns, idx, axis=0) == 0)
                 evecs = columns[idx].real
                 evals = table[idx] @ mode_energies

@@ -117,6 +117,26 @@ class TestProgramValidation:
         assert abs(state.amplitudes[0b001] - 1 / math.sqrt(2)) <= 1e-15
         moved = swap_qubits(apply_local(StateVector.zero(Layout(2)), np.int64(0), PAULI_X), np.int64(0), 1)
         assert moved.amplitudes[0b01] == 1
+        wide = Layout(3, 1, 2)
+        assert (wide.core_position(np.int64(2)), wide.ancilla_position(np.int32(0)), wide.store_position(np.int8(1))) == (1, 3, 5)
+        assert list(TargetSpec(np.int64(1), {np.int64(2): PAULI_X}).targets) == [2]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Layout(3, 1).core_position(1.5),
+            lambda: Layout(3, 1).core_position(2.0),
+            lambda: Layout(3, 1).ancilla_position(0.0),
+            lambda: Layout(3, 0, 2).store_position(1.0),
+            lambda: TargetSpec(1, {2.5: PAULI_X}),
+            lambda: TargetSpec(1, {3: PAULI_X, 2.0: PAULI_Z}),
+            lambda: controlled_z_program(1.5, Layout(3, 1)),
+        ],
+        ids=["core-1.5", "core-2.0", "ancilla-0.0", "store-1.0", "target-2.5", "target-2.0", "control-1.5"],
+    )
+    def test_non_integer_site_or_slot_is_refused(self, build):
+        with pytest.raises(InvalidInstructionError):
+            build()
 
     @pytest.mark.parametrize("matrix", [[["a", 1], [1, 0]], [[1, 0], [0]], [[1, {}], [0, 1]], [[10**400, 0], [0, 1]]])
     def test_unreadable_matrix_is_named(self, matrix):

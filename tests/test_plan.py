@@ -46,8 +46,8 @@ def kernels(program, profile, one_column=True):
 
 
 # a closed-form mirror is a phase multiply and a relabel, so a lone one ends on the transpose
-MIRROR = ["_phase_raw", "_permute_raw"]
-NETWORK = ["_evolve_raw"]
+MIRROR = ["phase", "order"]
+NETWORK = ["evolve"]
 
 
 @pytest.mark.parametrize(
@@ -96,13 +96,13 @@ def test_locals_fuse_per_qubit_between_other_instructions():
     profile = zero_phase_profile(3)
     # the swap only relabels, but still ends a run; the mirror's reversal moves qubit 2 to axis 0
     assert kernels(program, profile, one_column=False) == [
-        "_locals_raw", "_phase_raw", "_locals_raw", "_locals_raw", "_permute_raw",
+        "local_run", "phase", "local_run", "local_run", "order",
     ]
     wide = gates._plan(program, profile, False, frozenset())
     runs = [[axis for axis, _ in step.keywords["run"]] for step in wide if "run" in step.keywords]
     assert runs == [[0, 1], [0], [0]]  # one step per run, one 2x2 per qubit in first-seen order
     assert kernels(program, profile) == [
-        "_rotating_locals_raw", "_phase_raw", "_rotating_locals_raw", "_rotating_locals_raw", "_permute_raw",
+        "rotating_local_run", "phase", "rotating_local_run", "rotating_local_run", "order",
     ]
     one_column = gates._plan(program, profile, True, frozenset())
     passes = [[axis for axis, _ in step.keywords["passes"]] for step in one_column if "passes" in step.keywords]
@@ -215,7 +215,7 @@ def test_lowering_a_network_duration_looks_the_eigensystem_up_once():
     profile = CouplingProfile(4, (0.3, 0.7, 0.3), (0.1, 0.2, 0.2, 0.1))  # a chain no other test builds
     program = GateProgram((FreeEvolve(OFF_PERIOD), Local(0, oracles.H), FreeEvolve(OFF_PERIOD)), Layout(4, 1))
     before = dynamics._block_eigensystems.cache_info()
-    assert kernels(program, profile).count("_evolve_raw") == 2
+    assert kernels(program, profile).count("evolve") == 2
     after = dynamics._block_eigensystems.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
 
@@ -253,8 +253,8 @@ def test_qft12_with_the_ancilla_in_zero_runs_on_half_the_amplitudes(monkeypatch)
 
     monkeypatch.setattr(gates, "_plan", lambda *key: tuple(map(recorded, plan(*key))))
     out = execute(program, profile, state).amplitudes
-    assert rows[-1] == ("_permute_raw", 1 << 12)  # the end of the plan, back to 2^13 rows
-    assert sorted(set(rows[:-1])) == [("_phase_raw", 1 << 12), ("_rotating_locals_raw", 1 << 12)]
+    assert rows[-1] == ("order", 1 << 12)  # the end of the plan, back to 2^13 rows
+    assert sorted(set(rows[:-1])) == [("phase", 1 << 12), ("rotating_local_run", 1 << 12)]
     assert len(rows) == 68
     assert np.array_equal(out, gates._run(program, profile, amps[:, None].copy(), frozenset())[:, 0])
 
@@ -275,6 +275,6 @@ def test_off_period_program_unitary_on_eight_qubits():
         ),
         layout,
     )
-    assert kernels(program, RECON6).count("_evolve_raw") == 3
+    assert kernels(program, RECON6).count("evolve") == 3
     reference = dense_program(program, RECON6)
     assert np.max(np.abs(program_unitary(program, RECON6) - reference)) <= 1e-12
