@@ -41,7 +41,6 @@ multi-threaded product.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import groupby
 from typing import Sequence
 
@@ -60,11 +59,8 @@ def core_bits(n_sites: int) -> np.ndarray:
     return (np.arange(1 << n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
-@lru_cache(maxsize=32)
 def core_weights(n_sites: int) -> np.ndarray:
-    weights = core_bits(n_sites).sum(axis=1)
-    weights.flags.writeable = False
-    return weights
+    return core_bits(n_sites).sum(axis=1)
 
 
 def mirror_phases(n_sites: int, phi_n: float) -> np.ndarray:

@@ -105,6 +105,8 @@ def axis_frame(
 
 def _t_gate(dt: float) -> np.ndarray:
     """exp(-i Z dt)."""
+    if not math.isfinite(dt):
+        raise NonFiniteTimeError(f"dt must be finite, got {dt}")
     return np.array(
         [[cmath.exp(-1j * dt), 0], [0, cmath.exp(1j * dt)]], dtype=np.complex128
     )
@@ -133,8 +135,6 @@ def ancilla_pauli_program(
 
 def _ancilla_pauli(mask: PauliString, dt: float, tau: float, phi_n: float) -> tuple[Layout, list[Instruction]]:
     """:func:`ancilla_pauli_program`'s layout and instructions, for one `GateProgram` per build."""
-    if not math.isfinite(dt):
-        raise NonFiniteTimeError(f"dt must be finite, got {dt}")
     layout = Layout(mask.n_sites + 1, ancilla_count=1)
     parity = layout.core_position(1)
 
@@ -153,8 +153,6 @@ def direct_pauli_program(mask: PauliString, dt: float, tau: float = math.pi) -> 
     local phase is applied there and the evolution is undone.  Requires a
     zero-phase chain.
     """
-    if not math.isfinite(dt):
-        raise NonFiniteTimeError(f"dt must be finite, got {dt}")
     if len(mask.involved) != mask.n_sites:
         raise UnsupportedConfigurationError(
             "the direct construction needs every data site involved; "

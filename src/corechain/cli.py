@@ -10,6 +10,7 @@ paths print a single `error: ...` line on stderr.
 from __future__ import annotations
 
 import argparse
+import bisect
 import dataclasses
 import functools
 import math
@@ -18,7 +19,7 @@ import sys
 import numpy as np
 
 from . import _kernels, analysis, applications, chain, dynamics, gates, serialize
-from .errors import InvalidCertificateError
+from .errors import InvalidCertificateError, SizeLimitError
 
 SCHEMA = "1"
 
@@ -242,7 +243,13 @@ def _cmd_cost(args) -> int:
         if args.levels < 0:
             return _fail(f"--levels must be nonnegative, got {args.levels}", 2)
         header = [f.name for f in dataclasses.fields(analysis.ConcatCost)]
-        rows = [dataclasses.astuple(analysis.steane_concat_cost(k)) for k in range(args.levels + 1)]
+        # the last level has the largest count; it grows 49-fold per 2 levels, so level 2 limit + 1 never renders
+        count = lambda level: analysis.steane_concat_cost(level).switched_elementary_ops  # noqa: E731
+        limit = sys.get_int_max_str_digits()  # 0 when `str` renders any integer
+        if limit and (args.levels > 2 * limit or count(args.levels) >= 10**limit):
+            top = bisect.bisect_left(range(2 * limit + 2), 10**limit, key=count) - 1
+            raise SizeLimitError(f"--levels {args.levels} needs over {limit} digits; the largest level that renders is {top}")
+        rows = (dataclasses.astuple(analysis.steane_concat_cost(k)) for k in range(args.levels + 1))
     else:
         if args.n_range is None:
             return _fail("cost --qft needs --n-range A..B", 2)

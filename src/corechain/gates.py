@@ -38,12 +38,12 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import groupby
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 import numpy as np
 
 from . import _kernels
-from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form
+from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form, zero_phase_profile
 from .dynamics import Layout, StateVector, _are_integers, _check_evolution, _check_unitary, apply_local
 from .errors import (
     InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, NonUnitaryError,
@@ -192,8 +192,7 @@ def _plan(
     slot's axis is its rank among the other slots.  A swap or a reversal
     carries an empty slot along.  `axes` holds every slot's axis (None for
     an empty one) and is rebuilt only when `empty` changes.  A mirror
-    multiplies by the weight phases of the present chain axes; one step
-    serves every mirror of a duration on the same chain axes.  A Local on an
+    multiplies by the weight phases of the present chain axes.  A Local on an
     absent qubit first inserts its axis, with a zero |1> half, at its slot's
     rank, so a run makes its passes in the order it makes them with nothing
     absent and every amplitude is bit for bit the same, up to the sign of an
@@ -208,7 +207,6 @@ def _plan(
     axes: list[int | None] = list(natural)
     steps: list[_Step] = []
     lowered: dict[float, tuple] = {}  # one certificate, and phase table or eigensystem, per duration
-    phase_steps: dict[tuple, _Step] = {}  # one step per duration and tuple of present chain axes
 
     def set_empty(slots: Iterable[int]):
         nonlocal empty
@@ -261,11 +259,8 @@ def _plan(
                 continue
             chain = tuple(axes[slot] for slot in order[:n_sites] if slot not in empty)
             if chain:
-                key = (op.duration, chain)
-                if key not in phase_steps:
-                    shape, view = _kernels.phase_blocks(phases[: 1 << len(chain)], chain)
-                    phase_steps[key] = partial(_kernels.phase, shape=shape, phases=view)
-                steps.append(phase_steps[key])
+                shape, view = _kernels.phase_blocks(phases[: 1 << len(chain)], chain)
+                steps.append(partial(_kernels.phase, shape=shape, phases=view))
             order[:n_sites] = order[n_sites - 1 :: -1]
     materialise()
     return tuple(steps)
@@ -328,12 +323,14 @@ def controlled_z_program(control: int, layout: Layout, tau: float = math.pi) -> 
     )
 
 
-def _composite(control: int, layout: Layout, tau: float) -> tuple[Instruction, ...]:
-    """The controlled-Z composite's three instructions, once the layout and control allow it."""
+def _composite(control: int, layout: Layout, tau: float, targets: Container[int] = ()) -> tuple[Instruction, ...]:
+    """The controlled-Z composite's three instructions, once the layout, control and targets allow it."""
     if layout.ancilla_count < 1:
         raise UnsupportedConfigurationError("the controlled-Z composite needs an ancilla in the store")
     if not (_are_integers(control) and 1 <= control <= layout.core_sites):
         raise InvalidInstructionError(f"control site {control} outside 1..{layout.core_sites}")
+    if control in targets:
+        raise InvalidInstructionError("the control site carries no target")
     return (FreeEvolve(tau), Swap(layout.mirror_site(control), layout.ancilla_position(0)), FreeEvolve(tau))
 
 
@@ -397,24 +394,19 @@ _AXIS_CYCLE = np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / math.sqrt(2)
 
 
 def abc_decompose(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Split a 2x2 unitary as W = e^{i alpha} A Z B Z C with A B C = I.
+    """Split a 2x2 unitary as W = e^{i alpha} A Z B Z C with A B C = I; A, B and C are shared, read-only arrays.
 
     Writing W (up to phase) in Euler form Ry(a) Rx(b) Ry(c) and using that Z
     conjugation flips both axes gives A = Ry(a) Rx(b/2),
     B = Rx(-b/2) Ry(-(a+c)/2), C = Ry((c-a)/2).
     """
-    return _abc(_check_unitary(w))
+    return _split(_check_unitary(w).tobytes())
 
 
 @lru_cache(maxsize=1024)
 def _split(key: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """:func:`abc_decompose` of the checked target with these bytes, its A, B and C checked and shared."""
-    a, b, c, alpha = _abc(np.frombuffer(key, dtype=np.complex128).reshape(2, 2))
-    return _check_unitary(a), _check_unitary(b), _check_unitary(c), alpha
-
-
-def _abc(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """:func:`abc_decompose` of a matrix `_check_unitary` has already returned."""
+    w = np.frombuffer(key, dtype=np.complex128).reshape(2, 2)
     alpha = cmath.phase(complex(np.linalg.det(w))) / 2.0
     w0 = cmath.exp(-1j * alpha) * w
     m = _AXIS_CYCLE.conj().T @ w0 @ _AXIS_CYCLE
@@ -437,7 +429,7 @@ def _abc(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     gate_a = _ry(a) @ _rx(b / 2.0)
     gate_b = _rx(-b / 2.0) @ _ry(-(a + c) / 2.0)
     gate_c = _ry((c - a) / 2.0)
-    return gate_a, gate_b, gate_c, alpha
+    return _check_unitary(gate_a), _check_unitary(gate_b), _check_unitary(gate_c), alpha
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,12 +467,9 @@ def _controlled(
     x: int, targets: Mapping[int, np.ndarray], layout: Layout, tau: float, phi_n: float
 ) -> list[Instruction]:
     """:func:`controlled_unitary_program`'s instructions; each target is checked and split once per process."""
-    composite = _composite(x, layout, tau)
-    if x in targets:
-        raise InvalidInstructionError("the control site carries no target")
-
+    composite = _composite(x, layout, tau, targets)
     sites = sorted(targets)
-    parts = {site: _split(_check_unitary(targets[site]).tobytes()) for site in sites}
+    parts = {site: abc_decompose(targets[site]) for site in sites}
 
     instructions: list[Instruction] = []
     instructions += [Local(layout.core_position(s), parts[s][2], f"C{s}") for s in sites]
@@ -509,9 +498,7 @@ def controlled_reflection_program(
     is up.  Inherits the composite's relocation: the control ends on the
     ancilla and its home site is left in |0>.
     """
-    composite = _composite(control, layout, tau)
-    if control in reflections:
-        raise InvalidInstructionError("the control site carries no target")
+    composite = _composite(control, layout, tau, reflections)
     angles = {site: (theta, phi) for site, (theta, phi) in reflections.items()}
     conjugators = {pair: reflection_conjugator(*pair) for pair in dict.fromkeys(angles.values())}
     sites = sorted(angles)
@@ -536,8 +523,6 @@ def cat_state_program(n_sites: int, tau: float = math.pi) -> tuple[GateProgram, 
     zero-phase linear-spectrum chain, so the control half of the cat ends on
     the ancilla.  Returns the program and the state it produces.
     """
-    from .chain import zero_phase_profile
-
     if n_sites < 2:
         raise UnsupportedConfigurationError(f"need at least 2 sites, got {n_sites}")
     layout = Layout(n_sites, ancilla_count=1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corechain import (
+    CostReport,
     CouplingProfile,
     GateProgram,
     InsufficientDataError,
@@ -51,6 +52,10 @@ class TestCostOfProgram:
         assert report.free_evolutions == 4
         assert report.swaps == 2
         assert report.core_time == pytest.approx(4 * math.pi)
+
+    def test_report_refuses_a_negative_count(self):
+        with pytest.raises(ValueError, match="counts must be nonnegative"):
+            CostReport(4, -1, 7)
 
     def test_refuses_core_time_that_overflows(self):
         program = qft_program(3)  # 8 free evolutions

@@ -605,7 +605,8 @@ def probe_argv():
         st.tuples(st.integers(-3, 13), st.integers(-3, 13)).map(
             lambda ab: ["cost", "--qft", "--n-range", f"{ab[0]}..{ab[1]}"]
         ),
-        st.integers(-3, 5).map(lambda k: ["cost", "--concat", "--levels", str(k)]),
+        # past level 5087 a count has more digits than `str` renders by default
+        (st.integers(-3, 5) | st.integers(5088, 10**18)).map(lambda k: ["cost", "--concat", "--levels", str(k)]),
         bits.map(lambda b: ["evolve", "--christandl", "3", "--t", "1.0", "--basis", b]),
         bits.map(lambda b: ["gate", "--christandl", "2", "--run", "--input", b]),
         st.tuples(st.sampled_from(["z", "w"]), real).map(
@@ -664,11 +665,31 @@ def test_boundary_fails_with_one_error_line(case):
             path = Path(tmp) / "input.json"
             path.write_bytes(content)
             argv = [*argv, str(path)]
-        code, _, err = _transcript(argv)
+        code, out, err = _transcript(argv)
     assert code in (0, 1, 2)
     if code:
+        assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_concat_refuses_a_level_past_the_digit_limit(tmp_path, to_file):
+    # at a limit of 640 digits, the lowest Python allows, 6 * 7^756 has 640 digits and 6 * 7^757 has 641
+    csv = tmp_path / "concat.csv"
+    argv = ["cost", "--concat", *(["--out", str(csv)] if to_file else []), "--levels"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        refused = _transcript([*argv, "757"])
+        assert not csv.exists()
+        code, out, err = _transcript([*argv, "756"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused == (1, "", "error: --levels 757 needs over 640 digits; the largest level that renders is 756\n")
+    assert code == 0 and err == ""
+    lines = (csv.read_text() if to_file else out).splitlines()
+    assert len(lines) == 758 and lines[-1].startswith("756,")
 
 
 ONE_SITE = '{"n_sites": 1, "omegas": [], "lambdas": [0.0]}'
@@ -761,6 +782,9 @@ def state_with(first):
             1,
             "spectrum -1e+200 .. 1e+200 overflows the inverse-design recurrence",
         ),
+        (["verify"], None, 2, "need exactly one of --christandl or --profile"),
+        (["verify", "--christandl", "3", "--profile"], ONE_SITE, 2, "need exactly one of --christandl or --profile"),
+        (["hamsim", "--mask", "zzzzzzz", "--dt", "0.1", "--check"], None, 1, "--check capped at 6 data sites, got 7"),
     ],
 )
 def test_boundary_names_the_problem(tmp_path, argv, content, code, named):

@@ -476,6 +476,9 @@ class TestAbcDecompose:
         assert np.max(np.abs(a @ b @ c - np.eye(2))) <= 1e-10
         rebuilt = np.exp(1j * alpha) * a @ PAULI_Z @ b @ PAULI_Z @ c
         assert np.max(np.abs(rebuilt - w)) <= 1e-10
+        # the factors are the builders' shared split: read-only, and the same arrays on every call
+        assert not any(gate.flags.writeable for gate in (a, b, c))
+        assert all(again is gate for again, gate in zip(abc_decompose(w.copy()), (a, b, c)))
 
     def test_haar_identities(self):
         rng = np.random.default_rng(123)

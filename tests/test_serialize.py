@@ -118,6 +118,14 @@ def test_profile_round_trip(tmp_path):
     assert loaded == profile
 
 
+def test_integral_float_count_reads_as_an_integer():
+    data = {**serialize.profile_to_dict(christandl_profile(3)), "n_sites": 3.0}
+    loaded = serialize.profile_from_dict(data)
+    assert loaded == christandl_profile(3) and type(loaded.n_sites) is int
+    with pytest.raises(ValueError, match="n_sites must be an integer, got 3.5"):
+        serialize.profile_from_dict({**data, "n_sites": 3.5})
+
+
 def test_profile_json_shape():
     data = serialize.profile_to_dict(christandl_profile(3))
     assert set(data) == {"n_sites", "omegas", "lambdas"}
