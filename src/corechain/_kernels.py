@@ -25,7 +25,8 @@ or the plan materialises.
   site adds 0 to the weight, so the table is the first 2^k entries of the
   chain's 2^N one.
 - `local_run` applies a run of single-qubit unitaries as in-place two-row
-  passes on the axes it is given.
+  passes on the axes it is given, block by block; a block whose rows are
+  strided is copied into contiguous scratch rows for its products.
 - `rotating_local_run` applies a run on one column by ascending axis.
   Each pass reads the leading axis's two contiguous halves and writes them
   interleaved into a second buffer, so the next axis leads; the axes come
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-# amplitudes per block of a local pass, so its two scratch rows stay at 256 KB each
+# amplitudes per block of a local pass, so its four scratch rows stay at 256 KB each
 PASS_BLOCK = 1 << 14
 
 
@@ -96,9 +97,12 @@ def evolve(eigensystem, t: float, arr: np.ndarray) -> np.ndarray:
 def local_pass(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) -> None:
     """Two-row pass of a 2x2 unitary on the (2^qubit, 2, rest) view, written into `arr`.
 
-    A diagonal unitary scales the rows.  Otherwise `scratch` holds two rows
-    (the new bottom row and one product) of min(size / 2, PASS_BLOCK)
-    amplitudes, so a pass, block by block, needs no array-sized temporary.
+    A diagonal unitary scales the rows.  Otherwise `scratch` holds four rows
+    of min(size / 2, PASS_BLOCK) amplitudes, so a pass, block by block, needs
+    no array-sized temporary: the new bottom row, one product, and, for a
+    block whose rows are strided, contiguous copies of its top and bottom
+    rows, which the products then run on before the new rows are copied
+    back.  Each amplitude meets the same ufunc calls either way.
     """
     view = np.reshape(arr, (1 << qubit, 2, -1), copy=False)
     if u[0, 1] == 0 and u[1, 0] == 0:
@@ -110,19 +114,25 @@ def local_pass(arr: np.ndarray, qubit: int, u: np.ndarray, scratch: np.ndarray) 
         for j in range(0, rest, width):
             top = view[i : i + height, 0, j : j + width]
             bottom = view[i : i + height, 1, j : j + width]
-            new_bottom, product = (row[: top.size].reshape(top.shape) for row in scratch)
-            np.multiply(top, u[1, 0], out=new_bottom)
-            np.multiply(u[1, 1], bottom, out=product)
+            new_bottom, product, upper, lower = (row[: top.size].reshape(top.shape) for row in scratch)
+            if top.flags.c_contiguous:
+                upper, lower = top, bottom
+            else:  # several strided rows: a ufunc runs about twice as fast on contiguous copies
+                upper[...], lower[...] = top, bottom
+            np.multiply(upper, u[1, 0], out=new_bottom)
+            np.multiply(u[1, 1], lower, out=product)
             new_bottom += product
-            top *= u[0, 0]
-            np.multiply(u[0, 1], bottom, out=product)
-            top += product
+            upper *= u[0, 0]
+            np.multiply(u[0, 1], lower, out=product)
+            upper += product
+            if upper is not top:
+                top[...] = upper
             bottom[...] = new_bottom
 
 
 def local_run(arr: np.ndarray, run: Sequence[tuple[int, np.ndarray]]) -> np.ndarray:
     """A run of 2x2 unitaries on distinct qubits, applied in order as in-place two-row passes."""
-    scratch = np.empty((2, min(arr.size // 2, PASS_BLOCK)), dtype=arr.dtype)
+    scratch = np.empty((4, min(arr.size // 2, PASS_BLOCK)), dtype=arr.dtype)
     for qubit, u in run:
         local_pass(arr, qubit, u, scratch)
     return arr

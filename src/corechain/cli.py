@@ -177,9 +177,15 @@ def _cmd_gate(args) -> int:
 
 
 def _dft_matrix(n_qubits: int) -> np.ndarray:
+    """exp(2 pi i jk / 2^n) / sqrt(2^n), read from one table of the 2^n roots by jk mod 2^n.
+
+    exp of 2 pi jk / 2^n itself rounds angles of up to 2 pi 2^n: at n = 8 that
+    reference is off by 1e-14, further from the DFT than the program is.
+    """
     dim = 1 << n_qubits
-    jk = np.outer(np.arange(dim), np.arange(dim))
-    return np.exp(2j * math.pi * jk / dim) / math.sqrt(dim)
+    k = np.arange(dim)
+    roots = np.exp(2j * math.pi * k / dim) / math.sqrt(dim)
+    return roots[np.outer(k, k) & (dim - 1)]
 
 
 def _cmd_qft(args) -> int:

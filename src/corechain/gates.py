@@ -154,16 +154,23 @@ def _relocated_locations(layout: Layout, control: int) -> tuple[tuple[int, int],
 _Step = Callable[[np.ndarray], np.ndarray]
 
 
+@lru_cache(maxsize=16)  # as many chains as the eigensystem cache keeps
 def _mirror_table(
     profile: CouplingProfile, duration: float, n_sites: int
 ) -> tuple[np.ndarray | None, tuple | None]:
-    """(the closed-form mirror's weight phases, None) where it is exact, else (None, the network's eigensystem)."""
+    """(the closed-form mirror's weight phases, None) where it is exact, else (None, the network's eigensystem).
+
+    Each chain and duration is certified once per process; the phase table is
+    shared, so it is read-only.  A refusal raises and is not kept.
+    """
     if profile.n_sites != n_sites:
         raise InvalidLayoutError("profile does not match the program layout")
     if duration > 0:
         certificate = mirror_certificate(profile, duration)  # refuses a period that overflows the phases
         if mirror_is_closed_form(profile, certificate):
-            return _kernels.mirror_phases(n_sites, certificate.phi_n), None
+            phases = _kernels.mirror_phases(n_sites, certificate.phi_n)
+            phases.flags.writeable = False
+            return phases, None
     return None, _check_evolution(profile, n_sites, duration)
 
 
@@ -192,7 +199,9 @@ def _plan(
     slot's axis is its rank among the other slots.  A swap or a reversal
     carries an empty slot along.  `axes` holds every slot's axis (None for
     an empty one) and is rebuilt only when `empty` changes.  A mirror
-    multiplies by the weight phases of the present chain axes.  A Local on an
+    multiplies by the weight phases of the present chain axes.  Each chain
+    and duration is certified once per process (:func:`_mirror_table`), so
+    a fresh program on a known chain certifies nothing anew.  A Local on an
     absent qubit first inserts its axis, with a zero |1> half, at its slot's
     rank, so a run makes its passes in the order it makes them with nothing
     absent and every amplitude is bit for bit the same, up to the sign of an
@@ -206,7 +215,6 @@ def _plan(
     empty: set[int] = set()
     axes: list[int | None] = list(natural)
     steps: list[_Step] = []
-    lowered: dict[float, tuple] = {}  # one certificate, and phase table or eigensystem, per duration
 
     def set_empty(slots: Iterable[int]):
         nonlocal empty
@@ -250,9 +258,7 @@ def _plan(
                 a, b = layout.core_position(op.core_site), op.partner
                 order[a], order[b] = order[b], order[a]
                 continue
-            if op.duration not in lowered:
-                lowered[op.duration] = _mirror_table(profile, op.duration, n_sites)
-            phases, eigensystem = lowered[op.duration]
+            phases, eigensystem = _mirror_table(profile, op.duration, n_sites)
             if phases is None:
                 materialise()
                 steps.append(partial(_kernels.evolve, eigensystem, op.duration))

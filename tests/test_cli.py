@@ -35,7 +35,7 @@ from corechain import (
     zero_phase_profile,
 )
 from corechain.chain import MAX_CHAIN_SITES
-from corechain import gates
+from corechain import cli, gates
 from corechain.cli import main
 
 import oracles
@@ -295,6 +295,15 @@ class TestQft:
         code, _, err = run(capsys, "qft", "--n", "16")
         assert code == 1
         assert err.strip().startswith("error:")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_dft_reference_is_exact_to_round_off(n):
+    dft = cli._dft_matrix(n)
+    assert np.max(np.abs(dft @ dft.conj().T - np.eye(1 << n))) <= 1e-15
+    # row 1 holds the root of each jk mod 2^n, and every other entry is that root
+    jk = np.outer(np.arange(1 << n), np.arange(1 << n)) % (1 << n)
+    assert np.array_equal(dft, dft[1][jk])
 
 
 class TestHamsim:

@@ -39,7 +39,7 @@ KERNEL_SHAPES = [(m, cols) for m in range(2, 17) for cols in (1, 3, 1 << max(1, 
 def _passes_in_order(arr, run):
     """One `local_pass` per entry of `run`, in order, on a copy never transposed: the kernels' reference."""
     expected = arr.copy()
-    scratch = np.empty((2, arr.size // 2), dtype=arr.dtype)
+    scratch = np.empty((4, arr.size // 2), dtype=arr.dtype)
     for qubit, u in run:
         _kernels.local_pass(expected, qubit, u, scratch)
     return expected
@@ -119,3 +119,17 @@ class TestKernels:
         state = random_state(Layout(n, ancillas, stores), seed=[n, ancillas, stores])
         expected = oracles.mirror_gather(state.amplitudes, n, _kernels.mirror_phases(n, 0.37))
         assert np.array_equal(mirror_map(state, 0.37).amplitudes, expected)
+
+
+# blocks of one contiguous slab (two slabs per row at qubit 0), and blocks of several
+# strided rows, which the pass copies into contiguous scratch first
+@pytest.mark.parametrize(
+    "m, cols, qubit", [(16, 1, 0), (16, 1, 1), (16, 1, 3), (12, 64, 5), (9, 512, 8), (5, 3, 4)]
+)
+def test_pass_equals_whole_row_products(m, cols, qubit):
+    rng = np.random.default_rng([m, cols, qubit])
+    arr = rng.standard_normal((1 << m, cols)) + 1j * rng.standard_normal((1 << m, cols))
+    u = _dense_or_diagonal(rng, 0)
+    top, bottom = arr.reshape(1 << qubit, 2, -1).transpose(1, 0, 2)
+    expected = np.stack((top * u[0, 0] + u[0, 1] * bottom, top * u[1, 0] + u[1, 1] * bottom), axis=1)
+    assert np.array_equal(_kernels.local_run(arr, ((qubit, u),)), expected.reshape(arr.shape))

@@ -13,11 +13,13 @@ from corechain import (
     CouplingProfile,
     FreeEvolve,
     GateProgram,
+    InvalidLayoutError,
     Layout,
     Local,
     StateVector,
     Swap,
     christandl_profile,
+    controlled_z_program,
     evolve,
     execute,
     phase_gate,
@@ -218,6 +220,31 @@ def test_lowering_a_network_duration_looks_the_eigensystem_up_once():
     assert kernels(program, profile).count("evolve") == 2
     after = dynamics._block_eigensystems.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 0)
+
+
+def test_fresh_programs_on_one_chain_certify_it_once(monkeypatch):
+    gates._plan.cache_clear()
+    gates._mirror_table.cache_clear()
+    calls, certify = [], gates.mirror_certificate
+    monkeypatch.setattr(gates, "mirror_certificate", lambda *key: calls.append(key) or certify(*key))
+    profile = zero_phase_profile(5)
+    for program in (qft_program(5), controlled_z_program(2, Layout(5, 1)), qft_program(5)):
+        for one_column in (True, False):
+            assert "phase" in kernels(program, profile, one_column)
+    assert calls == [(profile, math.pi)]
+
+
+def test_a_mismatched_profile_is_refused_on_every_lowering():
+    program = qft_program(4)
+    for _ in range(2):
+        with pytest.raises(InvalidLayoutError, match="profile does not match the program layout"):
+            kernels(program, zero_phase_profile(5))
+
+
+def test_the_kept_phase_table_is_read_only():
+    phases, eigensystem = gates._mirror_table(zero_phase_profile(4), math.pi, 4)
+    assert eigensystem is None and not phases.flags.writeable
+    assert gates._mirror_table(zero_phase_profile(4), math.pi, 4)[0] is phases
 
 
 @pytest.mark.parametrize("name", CHAINS)
