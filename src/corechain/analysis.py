@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import CERTIFICATE_TOL, CouplingProfile, mirror_certificate, mirror_is_closed_form
-from .chain import require_valid_profile
+from .chain import CERTIFICATE_TOL, CouplingProfile, mirror_certificate, require_closed_form, require_valid_profile
 # unused here, `evolve` stays bound: benchmarks/tracing.py wraps analysis.evolve
 from .dynamics import StateVector, evolution_overlaps, evolve, mirror_map  # noqa: F401
 from .errors import InsufficientDataError, InvalidCertificateError, InvalidLayoutError, NonFiniteTimeError
@@ -183,11 +182,7 @@ def timing_error(
 def _timing_errors(profile, state, tau, phi_n, delta_ts) -> list[float]:
     """`timing_error` at every delta_t, from one certificate and one mode transform."""
     certificate = mirror_certificate(profile, tau)
-    if not mirror_is_closed_form(profile, certificate):
-        raise InvalidCertificateError(
-            f"no closed-form mirror at tau={tau}: certificate deviation "
-            f"{certificate.max_deviation:.3g}, smallest coupling {min(profile.omegas):.3g}"
-        )
+    require_closed_form(profile, certificate)
     gap = phi_n - certificate.phi_n  # compared on the unit circle, where pi and -pi agree
     if not math.isfinite(gap) or abs(math.remainder(gap, math.tau)) > CERTIFICATE_TOL:
         raise InvalidCertificateError(

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import (
     IllConditionedError,
+    InvalidCertificateError,
     InvalidProfileError,
     NonFiniteTimeError,
     ReconstructionInfeasibleError,
@@ -211,9 +212,22 @@ def require_valid_profile(profile: CouplingProfile) -> None:
     coupling still defines a Hermitian chain, it just breaks the design-side
     uniqueness convention.  Raises :class:`InvalidProfileError`.
     """
-    diag = validate_profile(profile)
-    if not replace(diag, nonpositive_omegas=()).passed:
+    diag = replace(validate_profile(profile), nonpositive_omegas=())
+    if not diag.passed:
         raise InvalidProfileError(f"invalid coupling profile: {diag.describe()}")
+
+
+def require_closed_form(profile: CouplingProfile, certificate: MirrorCertificate) -> None:
+    """Reject a chain whose evolution over `certificate.tau` is not the closed-form mirror map.
+
+    The one refusal of every caller that relies on the closed form (see
+    :func:`mirror_is_closed_form`).  Raises :class:`InvalidCertificateError`.
+    """
+    if not mirror_is_closed_form(profile, certificate):
+        raise InvalidCertificateError(
+            f"no closed-form mirror at tau={certificate.tau}: certificate deviation "
+            f"{certificate.max_deviation:.3g}, smallest coupling {min(profile.omegas):.3g}"
+        )
 
 
 def single_excitation_matrix(profile: CouplingProfile) -> JacobiMatrix:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import _kernels, analysis, applications, chain, dynamics, gates, serialize
-from .errors import InvalidCertificateError, SizeLimitError
+from .errors import SizeLimitError
 
 SCHEMA = "1"
 
@@ -140,11 +140,10 @@ def _cmd_gate(args) -> int:
     layout = dynamics.Layout(n, ancilla_count=1)
     tau = args.tau
     certificate = chain.mirror_certificate(profile, tau)  # checks the chain and tau for every kind
-    if (args.run or args.kind == "cat") and not certificate.is_valid:
-        raise InvalidCertificateError(
-            f"gate simulates only certified chains; none at tau={tau:.12g} "
-            f"(max_deviation={certificate.max_deviation:.3e})"
-        )
+    if args.run or args.kind == "cat":
+        chain.require_closed_form(profile, certificate)
+    if args.run and args.kind != "cat":  # a bad --input is refused before the program is written
+        state = dynamics.StateVector.basis(layout, args.input or "0" * layout.total_qubits)
     if args.kind == "cat":
         x, m = args.x, layout.total_qubits
         # theta = phi = 0 reflections are X on every site but the control
@@ -170,8 +169,6 @@ def _cmd_gate(args) -> int:
         )
     _write_json(args.out, serialize.program_to_dict(program))
     if args.run and args.kind != "cat":
-        bits = args.input if args.input else "0" * layout.total_qubits
-        state = dynamics.StateVector.basis(layout, bits)
         _print_amplitudes(gates.execute(program, profile, state))
     return 0
 
@@ -189,12 +186,12 @@ def _dft_matrix(n_qubits: int) -> np.ndarray:
 
 
 def _cmd_qft(args) -> int:
+    if args.check and args.n > 10:  # refused before the program is written
+        return _fail(f"--check builds a dense unitary and is capped at 10 sites, got {args.n}", 1)
     program = applications.qft_program(args.n, include_bit_reversal=args.bit_reversal)
     _write_json(args.out, serialize.program_to_dict(program))
     if not args.check:
         return 0
-    if args.n > 10:
-        return _fail(f"--check builds a dense unitary and is capped at 10 sites, got {args.n}", 1)
     # a 1-site program has no free evolutions, so no chain is consulted
     profile = chain.zero_phase_profile(args.n) if args.n >= 2 else None
     block = gates.program_block(program, profile, program.layout.core_position(1), args.n)
@@ -205,6 +202,8 @@ def _cmd_qft(args) -> int:
 
 def _cmd_hamsim(args) -> int:
     mask = applications.PauliString.from_string(args.mask)
+    if args.check and mask.n_sites > 6:  # refused before the program is written
+        return _fail(f"--check capped at 6 data sites, got {mask.n_sites}", 1)
     if args.variant == "direct":
         program = applications.direct_pauli_program(mask, args.dt)
     else:
@@ -212,8 +211,6 @@ def _cmd_hamsim(args) -> int:
     _write_json(args.out, serialize.program_to_dict(program))
     if not args.check:
         return 0
-    if mask.n_sites > 6:
-        return _fail(f"--check capped at 6 data sites, got {mask.n_sites}", 1)
     profile = chain.zero_phase_profile(program.layout.core_sites)
     # data site j sits on chain site j + 1, after the parity site
     block = gates.program_block(program, profile, program.layout.core_position(2), mask.n_sites)
@@ -309,74 +306,65 @@ def _build_parser() -> _Parser:
     chain_source = argparse.ArgumentParser(add_help=False)
     chain_source.add_argument("--profile", metavar="FILE")
     chain_source.add_argument("--christandl", type=int, metavar="N")
+    # the options several commands share; `cost` keeps its own --tau, whose default is None
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="FILE")
+    period = argparse.ArgumentParser(add_help=False)
+    period.add_argument("--tau", type=float, default=math.pi)
 
-    p = sub.add_parser("design", help="build a chain from a family or a target spectrum")
+    p = sub.add_parser("design", parents=[period, out], help="build a chain from a family or a target spectrum")
     p.add_argument("--christandl", type=int, metavar="N")
     p.add_argument("--spectrum", metavar="FILE")
-    p.add_argument("--tau", type=float, default=math.pi)
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_design)
 
     p = sub.add_parser(
-        "verify", parents=[chain_source], help="certify mirror inversion at a given period"
+        "verify", parents=[chain_source, period, out], help="certify mirror inversion at a given period"
     )
-    p.add_argument("--tau", type=float, default=math.pi)
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser(
-        "evolve", parents=[chain_source], help="free-evolve a state under a chain"
-    )
+    p = sub.add_parser("evolve", parents=[chain_source, out], help="free-evolve a state under a chain")
     p.add_argument("--basis", metavar="BITS")
     p.add_argument("--state", metavar="FILE")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_evolve)
 
     p = sub.add_parser(
-        "gate", parents=[chain_source], help="build (and optionally run) a gate program"
+        "gate", parents=[chain_source, period, out], help="build (and optionally run) a gate program"
     )
     p.add_argument("--kind", choices=["z", "w", "cat"], default="z")
     p.add_argument("--x", type=int, default=1, help="control site")
     p.add_argument("--phase", type=float, default=math.pi, help="target phase for --kind w")
     p.add_argument("--input", metavar="BITS")
-    p.add_argument("--tau", type=float, default=math.pi)
     p.add_argument("--run", action="store_true")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_gate)
 
-    p = sub.add_parser("qft", help="build the QFT program and check it against the DFT")
+    p = sub.add_parser("qft", parents=[out], help="build the QFT program and check it against the DFT")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--check", action="store_true")
     p.add_argument("--bit-reversal", action="store_true")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_qft)
 
-    p = sub.add_parser("hamsim", help="Pauli-string evolution programs")
+    p = sub.add_parser("hamsim", parents=[out], help="Pauli-string evolution programs")
     p.add_argument("--mask", required=True, help="axes over the data sites, e.g. zziz")
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--variant", choices=["ancilla", "direct"], default="ancilla")
     p.add_argument("--check", action="store_true")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_hamsim)
 
-    p = sub.add_parser("cost", help="cost studies: QFT sweep, concatenation, program census")
+    p = sub.add_parser("cost", parents=[out], help="cost studies: QFT sweep, concatenation, program census")
     p.add_argument("--qft", action="store_true")
     p.add_argument("--n-range", type=_parse_range, metavar="A..B")
     p.add_argument("--concat", action="store_true")
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--program", metavar="FILE")
     p.add_argument("--tau", type=float, help="period of one free evolution (default pi)")
-    p.add_argument("--out", metavar="FILE")
     p.set_defaults(handler=_cmd_cost)
 
-    p = sub.add_parser("robustness", parents=[chain_source], help="timing-error order fit")
+    p = sub.add_parser("robustness", parents=[chain_source, period, out], help="timing-error order fit")
     p.add_argument("--n", type=int, dest="christandl", metavar="N", help="shorthand for --christandl")
     p.add_argument("--dts", default="1e-1,1e-2,1e-3")
-    p.add_argument("--tau", type=float, default=math.pi)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--weight", type=int, default=None)
-    p.add_argument("--out", metavar="FILE")
     p.add_argument("--csv", metavar="FILE")
     p.set_defaults(handler=_cmd_robustness)
 

@@ -174,14 +174,6 @@ def _mirror_table(
     return None, _check_evolution(profile, n_sites, duration)
 
 
-def _fused_locals(run: Iterable[Local]) -> dict[int, np.ndarray]:
-    """One 2x2 per qubit for a run of Locals, in first-seen order: Locals on different qubits commute."""
-    fused: dict[int, np.ndarray] = {}
-    for op in run:
-        fused[op.qubit] = op.matrix @ fused[op.qubit] if op.qubit in fused else op.matrix
-    return fused
-
-
 @lru_cache(maxsize=64)
 def _plan(
     program: GateProgram, profile: CouplingProfile, one_column: bool, absent: frozenset[int]
@@ -190,10 +182,11 @@ def _plan(
 
     `order[q]` is qubit q's slot, the array axis that holds it when no
     qubit is absent.  A Swap exchanges two entries and a closed-form mirror
-    reverses the chain's entries after its phase multiply.  A run of Locals
-    on one column rotates the slots and the order records the rotation; a
-    wider batch runs in place on the qubits' current axes, in first-seen
-    order.
+    reverses the chain's entries after its phase multiply.  Only a free
+    evolution ends a run: a Swap inside one only relabels, and the run's
+    Locals fuse into one 2x2 per slot.  A run on one column rotates the
+    slots and the order records the rotation; a wider batch runs in place
+    on the slots' current axes, in first-seen order.
 
     The qubits in `absent` start in |0>.  Their slots are `empty`, and a
     slot's axis is its rank among the other slots.  A swap or a reversal
@@ -235,18 +228,27 @@ def _plan(
 
     set_empty(absent)
 
-    for is_local, run in groupby(program.instructions, key=lambda op: isinstance(op, Local)):
-        if is_local:
-            fused = _fused_locals(run)
-            inserted = empty.intersection(order[q] for q in fused)
+    for is_evolve, run in groupby(program.instructions, key=lambda op: isinstance(op, FreeEvolve)):
+        if not is_evolve:
+            fused: dict[int, np.ndarray] = {}  # Locals on different slots commute
+            for op in run:
+                if isinstance(op, Swap):
+                    a, b = layout.core_position(op.core_site), op.partner
+                    order[a], order[b] = order[b], order[a]
+                else:
+                    slot = order[op.qubit]
+                    fused[slot] = op.matrix @ fused[slot] if slot in fused else op.matrix
+            if not fused:
+                continue
+            inserted = empty.intersection(fused)
             if inserted:
                 copy_to(s for s in natural if s not in empty or s in inserted)
                 set_empty(empty - inserted)
-            passes = [(axes[order[q]], u) for q, u in fused.items()]
+            passes = [(axes[slot], u) for slot, u in fused.items()]
             if one_column:
                 passes.sort(key=lambda entry: entry[0])
                 steps.append(partial(_kernels.rotating_local_run, passes=tuple(passes)))
-                shift = max(order[q] for q in fused) + 1
+                shift = max(fused) + 1
                 order = [(slot - shift) % len(order) for slot in order]
                 if empty:
                     set_empty((slot - shift) % len(order) for slot in empty)
@@ -254,10 +256,6 @@ def _plan(
                 steps.append(partial(_kernels.local_run, run=tuple(passes)))
             continue
         for op in run:
-            if isinstance(op, Swap):
-                a, b = layout.core_position(op.core_site), op.partner
-                order[a], order[b] = order[b], order[a]
-                continue
             phases, eigensystem = _mirror_table(profile, op.duration, n_sites)
             if phases is None:
                 materialise()

@@ -49,6 +49,10 @@ def run(capsys, *argv):
 
 NAN_COUPLINGS = '{"n_sites": 3, "omegas": [NaN, NaN], "lambdas": [1, 1, 1]}'
 INF_FIELDS = '{"n_sites": 3, "omegas": [1, 1], "lambdas": [Infinity, 1, Infinity]}'
+# zero_phase_profile(4) with every coupling negated: it certifies, but its mirror is not the closed form
+NEGATED4 = (
+    '{"n_sites": 4, "omegas": [-0.8660254037844386, -1.0, -0.8660254037844386], "lambdas": [2.5, 2.5, 2.5, 2.5]}'
+)
 
 
 @pytest.mark.parametrize(
@@ -216,13 +220,19 @@ class TestGate:
             ["--profile", "{uniform}", "--kind", "cat"],
             ["--christandl", "3", "--kind", "z", "--tau", "1.0", "--run"],
             ["--christandl", "4", "--kind", "w", "--tau", "2.0", "--run", "--out", "{out}"],
+            # the negated chain certifies, and the positive-coupling half of the rule refuses it
+            ["--profile", "{negated}", "--kind", "cat", "--out", "{out}"],
+            ["--profile", "{negated}", "--kind", "z", "--x", "2", "--run", "--input", "11110", "--out", "{out}"],
+            ["--profile", "{negated}", "--kind", "w", "--run", "--out", "{out}"],
         ],
     )
     def test_refuses_uncertified_chain(self, capsys, tmp_path, argv):
         uniform = tmp_path / "uniform.json"
         uniform.write_text('{"n_sites": 4, "omegas": [1, 1, 1], "lambdas": [0, 0, 0, 0]}')
+        negated = tmp_path / "negated.json"
+        negated.write_text(NEGATED4)
         out_file = tmp_path / "program.json"
-        args = [a.format(uniform=uniform, out=out_file) for a in argv]
+        args = [a.format(uniform=uniform, negated=negated, out=out_file) for a in argv]
         code, out, err = run(capsys, "gate", *args)
         assert code == 1
         assert out == ""
@@ -465,10 +475,7 @@ class TestRobustness:
 
     def test_negative_couplings_exit_one(self, capsys, tmp_path):
         negated = tmp_path / "negated.json"
-        negated.write_text(
-            '{"n_sites": 4, "omegas": [-0.8660254037844386, -1.0, -0.8660254037844386],'
-            ' "lambdas": [2.5, 2.5, 2.5, 2.5]}'
-        )
+        negated.write_text(NEGATED4)
         code, out, err = run(capsys, "robustness", "--profile", str(negated))
         assert code == 1
         assert out == ""
@@ -603,36 +610,49 @@ def malformed_file(draw):
 
 
 def probe_argv():
-    """Argument probes that name a wrong value, mode or range."""
+    """Argument probes that name a wrong value, mode or range.
+
+    `{out}` is the `--out` file, which a failing call must not leave behind.
+    The integer options are also probed at magnitudes up to 10^18; none of
+    them starts a thread or a process.
+    """
     real = st.sampled_from(["inf", "-inf", "nan", "-1", "0", "2.5", "1e308"])
     bits = st.text("01x2", min_size=0, max_size=5)
+    huge = st.integers(-10**18, 10**18)
+    out = ["--out", "{out}"]
     return st.one_of(
-        real.map(lambda tau: ["cost", "--program", "{program}", "--tau", tau]),
+        real.map(lambda tau: ["cost", "--program", "{program}", "--tau", tau, *out]),
         st.tuples(st.sampled_from(["--qft", "--concat"]), real).map(
-            lambda mode_tau: ["cost", mode_tau[0], "--n-range", "2..3", "--tau", mode_tau[1]]
+            lambda mode_tau: ["cost", mode_tau[0], "--n-range", "2..3", "--tau", mode_tau[1], *out]
         ),
         st.tuples(st.integers(-3, 13), st.integers(-3, 13)).map(
-            lambda ab: ["cost", "--qft", "--n-range", f"{ab[0]}..{ab[1]}"]
+            lambda ab: ["cost", "--qft", "--n-range", f"{ab[0]}..{ab[1]}", *out]
         ),
         # past level 5087 a count has more digits than `str` renders by default
-        (st.integers(-3, 5) | st.integers(5088, 10**18)).map(lambda k: ["cost", "--concat", "--levels", str(k)]),
-        bits.map(lambda b: ["evolve", "--christandl", "3", "--t", "1.0", "--basis", b]),
-        bits.map(lambda b: ["gate", "--christandl", "2", "--run", "--input", b]),
+        (st.integers(-3, 5) | st.integers(5088, 10**18)).map(lambda k: ["cost", "--concat", "--levels", str(k), *out]),
+        bits.map(lambda b: ["evolve", "--christandl", "3", "--t", "1.0", "--basis", b, *out]),
+        bits.map(lambda b: ["gate", "--christandl", "2", "--run", "--input", b, *out]),
         st.tuples(st.sampled_from(["z", "w"]), real).map(
-            lambda kind_tau: ["gate", "--christandl", "3", "--kind", kind_tau[0], "--tau", kind_tau[1]]
+            lambda kind_tau: ["gate", "--christandl", "3", "--kind", kind_tau[0], "--tau", kind_tau[1], *out]
+        ),
+        # a chain that certifies but has negative couplings: building is allowed, simulating is not
+        st.tuples(st.sampled_from(["z", "w", "cat"]), st.booleans()).map(
+            lambda kind_run: ["gate", "--profile", "{negated}", "--kind", kind_run[0], *out]
+            + ["--run"] * kind_run[1]
         ),
         # oversized chains are refused before anything N x N is allocated
         st.tuples(st.sampled_from(["design", "verify"]), st.integers(MAX_CHAIN_SITES + 1, 10**15)).map(
-            lambda command_n: [command_n[0], "--christandl", str(command_n[1])]
+            lambda command_n: [command_n[0], "--christandl", str(command_n[1]), *out]
         ),
-        # --check runs the program on every data column, so only up to 4 sites
-        st.tuples(st.integers(-3, 18), st.booleans()).map(
-            lambda n_check: ["qft", "--n", str(n_check[0])] + ["--check"] * (n_check[1] and n_check[0] <= 4)
+        # --check runs the program on every data column, so only up to 4 sites; past 10 it is refused
+        st.tuples(st.integers(-3, 18) | huge, st.booleans()).map(
+            lambda n_check: ["qft", "--n", str(n_check[0]), *out]
+            + ["--check"] * (n_check[1] and not 4 < n_check[0] <= 10)
         ),
         st.tuples(
             st.text("xyziq", max_size=6), real, st.sampled_from(["ancilla", "direct", "both"]), st.booleans()
         ).map(
-            lambda h: ["hamsim", "--mask", h[0], "--dt", h[1], "--variant", h[2]]
+            lambda h: ["hamsim", "--mask", h[0], "--dt", h[1], "--variant", h[2], *out]
             + ["--check"] * (h[3] and len(h[0]) <= 4)
         ),
         # one robustness argument at a time, the others at their defaults
@@ -640,13 +660,15 @@ def probe_argv():
             st.sampled_from(["1e-1,1e-2,1e-3", "1e-1,x", ",", "", "nan,1e-2,1e-3", "1,2,3", "1e-1,1e-2"]).map(
                 lambda dts: ["--dts", dts]
             ),
-            st.integers(-3, 3).map(lambda seed: ["--seed", str(seed)]),
-            st.integers(-2, 6).map(lambda weight: ["--weight", str(weight)]),
+            (st.integers(-3, 3) | huge).map(lambda seed: ["--seed", str(seed)]),
+            (st.integers(-2, 6) | huge).map(lambda weight: ["--weight", str(weight)]),
             real.map(lambda tau: ["--tau", tau]),
-        ).map(lambda option: ["robustness", "--christandl", "4", *option]),
-        real.map(lambda t: ["evolve", "--christandl", "3", "--basis", "100", "--t", t]),
-        st.tuples(st.sampled_from(["z", "w", "cat"]), st.integers(-1, 5), real).map(
+        ).map(lambda option: ["robustness", "--christandl", "4", *option, *out]),
+        (st.integers(-3, 6) | huge).map(lambda n: ["robustness", "--n", str(n), *out]),
+        real.map(lambda t: ["evolve", "--christandl", "3", "--basis", "100", "--t", t, *out]),
+        st.tuples(st.sampled_from(["z", "w", "cat"]), st.integers(-1, 5) | huge, real).map(
             lambda g: ["gate", "--christandl", "3", "--run", "--kind", g[0], "--x", str(g[1]), "--phase", g[2]]
+            + out
         ),
     )
 
@@ -667,19 +689,22 @@ def _transcript(argv):
 def test_boundary_fails_with_one_error_line(case):
     argv, content = case
     with tempfile.TemporaryDirectory() as tmp:
-        program = Path(tmp) / "program.json"
+        program, negated, written = Path(tmp) / "program.json", Path(tmp) / "negated.json", Path(tmp) / "out"
         program.write_text(json.dumps(VALID["program"]))
-        argv = [a.format(program=program) for a in argv]
+        negated.write_text(NEGATED4)
+        argv = [a.format(program=program, negated=negated, out=written) for a in argv]
         if content is not None:
             path = Path(tmp) / "input.json"
             path.write_bytes(content)
             argv = [*argv, str(path)]
         code, out, err = _transcript(argv)
+        left = written.exists()
     assert code in (0, 1, 2)
     if code:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        assert not left
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -96,22 +96,42 @@ def test_locals_fuse_per_qubit_between_other_instructions():
         layout,
     )
     profile = zero_phase_profile(3)
-    # the swap only relabels, but still ends a run; the mirror's reversal moves qubit 2 to axis 0
-    assert kernels(program, profile, one_column=False) == [
-        "local_run", "phase", "local_run", "local_run", "order",
-    ]
+    # only a free evolution ends a run: the swap relabels inside the second one.
+    # The mirror's reversal moves qubit 2 to axis 0
+    assert kernels(program, profile, one_column=False) == ["local_run", "phase", "local_run", "order"]
     wide = gates._plan(program, profile, False, frozenset())
     runs = [[axis for axis, _ in step.keywords["run"]] for step in wide if "run" in step.keywords]
-    assert runs == [[0, 1], [0], [0]]  # one step per run, one 2x2 per qubit in first-seen order
-    assert kernels(program, profile) == [
-        "rotating_local_run", "phase", "rotating_local_run", "rotating_local_run", "order",
-    ]
+    assert runs == [[0, 1], [0]]  # one step per run, one 2x2 per qubit in first-seen order
+    assert kernels(program, profile) == ["rotating_local_run", "phase", "rotating_local_run", "order"]
     one_column = gates._plan(program, profile, True, frozenset())
     passes = [[axis for axis, _ in step.keywords["passes"]] for step in one_column if "passes" in step.keywords]
-    # ascending axes: each run rotates the axes left by its last axis + 1, so qubit 2
-    # sits on axis 2 after the first run and the mirror, and on axis 3 after its own run
-    assert passes == [[0, 1], [2], [3]]
+    # ascending axes: the first run rotates the axes left by its last axis + 1, so qubit 2
+    # sits on axis 2 after it and the mirror
+    assert passes == [[0, 1], [2]]
     assert program.local_count == 7  # fusion lives in the plan only
+
+
+@pytest.mark.parametrize("one_column", [True, False])
+def test_locals_on_both_sides_of_a_swap_fuse_onto_one_slot(one_column):
+    # qubit 0 before the swap and the ancilla, position 3, after it are one slot
+    layout = Layout(3, ancilla_count=1)
+    program = GateProgram(
+        (Local(0, oracles.H), Swap(1, 3), Local(3, phase_gate(0.4)), Local(0, phase_gate(0.7)), FreeEvolve(1.0)),
+        layout,
+    )
+    profile = zero_phase_profile(3)
+    plan = gates._plan(program, profile, one_column, frozenset())
+    key = "passes" if one_column else "run"
+    (run,) = [step.keywords[key] for step in plan if key in step.keywords]
+    assert [axis for axis, _ in run] == [0, 3]
+    fused = dict(run)
+    np.testing.assert_array_equal(fused[0], phase_gate(0.4) @ oracles.H)
+    np.testing.assert_array_equal(fused[3], phase_gate(0.7))
+
+    reference = dense_program(program, profile)
+    columns = 1 if one_column else 3
+    batch = np.random.default_rng(5).standard_normal((layout.dim, columns)).astype(complex)
+    assert np.max(np.abs(gates._run(program, profile, batch.copy(), frozenset()) - reference @ batch)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
