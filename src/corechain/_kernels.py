@@ -20,10 +20,10 @@ Nor need it hold every qubit: a qubit known to be |0> has no axis, and the
 array has half the rows for each such qubit, until a Local inserts the axis
 or the plan materialises.
 
-- `phase` multiplies by the weight phases of a certified mirror step, one
-  2^k table broadcast over the k axes that hold chain sites; an absent
-  site adds 0 to the weight, so the table is the first 2^k entries of the
-  chain's 2^N one.
+- `phase` multiplies by the weight phases of a certified mirror step in one
+  ufunc call, a 2^k table broadcast over the k axes that hold chain sites;
+  an absent site adds 0 to the weight, so the table is the first 2^k
+  entries of the chain's 2^N one.
 - `local_run` applies a run of single-qubit unitaries as in-place two-row
   passes on the axes it is given, block by block; a block whose rows are
   strided is copied into contiguous scratch rows for its products.
@@ -189,18 +189,9 @@ def phase_blocks(phases: np.ndarray, chain_axes: Sequence[int]) -> tuple[tuple[i
 
 
 def phase(arr: np.ndarray, shape: tuple[int, ...], phases: np.ndarray) -> np.ndarray:
-    """Multiply in place by `phases` broadcast over the `shape` view of `arr`.
-
-    A last axis of more than one entry that is shorter than the block before
-    it (a trailing ancilla on one column) is looped over, so each multiply
-    runs along that block instead.
-    """
+    """Multiply in place by `phases` broadcast over the `shape` view of `arr`: one ufunc call."""
     view = arr.reshape(shape)
-    if 1 < view.shape[-1] < view.shape[-2]:
-        for j in range(view.shape[-1]):
-            view[..., j] *= phases[..., 0]
-    else:
-        view *= phases
+    view *= phases
     return arr
 
 

@@ -139,26 +139,22 @@ def _cmd_gate(args) -> int:
     n = profile.n_sites
     layout = dynamics.Layout(n, ancilla_count=1)
     tau = args.tau
-    certificate = chain.mirror_certificate(profile, tau)  # checks the chain and tau for every kind
-    if args.run or args.kind == "cat":
-        chain.require_closed_form(profile, certificate)
-    if args.run and args.kind != "cat":  # a bad --input is refused before the program is written
-        state = dynamics.StateVector.basis(layout, args.input or "0" * layout.total_qubits)
-    if args.kind == "cat":
-        x, m = args.x, layout.total_qubits
-        # theta = phi = 0 reflections are X on every site but the control
-        reflections = {site: (0.0, 0.0) for site in range(1, n + 1) if site != x}
-        program = gates.controlled_reflection_program(x, reflections, layout, tau, certificate.phi_n)
-        plus = dynamics.apply_local(dynamics.StateVector.zero(layout), layout.core_position(x), gates.HADAMARD)
-        final = gates.execute(program, profile, plus)
+    if args.kind == "cat":  # always run, so refused on a chain with no closed-form mirror
+        program, final = gates.cat_state(profile, args.x, tau)
+        m = layout.total_qubits
         ideal = np.zeros(layout.dim, dtype=np.complex128)
         # |0...0>|0> + |every site but x set>|1>: site x emptied, the control's half on the ancilla
-        ideal[[0, (1 << m) - 1 - (1 << (m - x))]] = 1 / math.sqrt(2)
-        fidelity = dynamics.fidelity_up_to_global_phase(
-            dynamics.StateVector(layout, ideal), final
-        )
+        ideal[[0, (1 << m) - 1 - (1 << (m - args.x))]] = 1 / math.sqrt(2)
+        fidelity = dynamics.fidelity_up_to_global_phase(dynamics.StateVector(layout, ideal), final)
+        _write_json(args.out, serialize.program_to_dict(program))
         print(f"cat fidelity: {fidelity:.12f}")
-    elif args.kind == "z":
+        return 0
+    certificate = chain.mirror_certificate(profile, tau)  # checks the chain and tau even when nothing runs
+    if args.run:
+        chain.require_closed_form(profile, certificate)
+        # a bad --input is refused before the program is written
+        state = dynamics.StateVector.basis(layout, args.input or "0" * layout.total_qubits)
+    if args.kind == "z":
         program = gates.controlled_z_program(args.x, layout, tau)
     else:  # kind == "w": one phase gate on every non-control site
         targets = {
@@ -168,7 +164,7 @@ def _cmd_gate(args) -> int:
             gates.TargetSpec(args.x, targets), layout, tau, phi_n=certificate.phi_n
         )
     _write_json(args.out, serialize.program_to_dict(program))
-    if args.run and args.kind != "cat":
+    if args.run:
         _print_amplitudes(gates.execute(program, profile, state))
     return 0
 
@@ -287,9 +283,9 @@ def _cmd_robustness(args) -> int:
     state = dynamics.random_state(layout, seed=args.seed, core_weight=args.weight)
     certificate = chain.mirror_certificate(profile, args.tau)
     report = analysis.robustness_fit(profile, state, args.tau, certificate.phi_n, dts)
-    _write_json(args.out, serialize.robustness_report_to_dict(report))
-    if args.csv:
+    if args.csv:  # written first, so an unwritable CSV leaves no --out file
         serialize.write_csv(args.csv, ["delta_t", "error"], zip(report.delta_ts, report.errors))
+    _write_json(args.out, serialize.robustness_report_to_dict(report))
     print(f"fitted_order: {report.fitted_order:.6f}")
     return 0
 

@@ -43,7 +43,7 @@ from typing import Callable, Container, Iterable, Mapping
 import numpy as np
 
 from . import _kernels
-from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form, zero_phase_profile
+from .chain import CouplingProfile, mirror_certificate, mirror_is_closed_form, require_closed_form, zero_phase_profile
 from .dynamics import Layout, StateVector, _are_integers, _check_evolution, _check_unitary, apply_local
 from .errors import (
     InvalidInstructionError, InvalidLayoutError, NonFiniteTimeError, NonUnitaryError,
@@ -311,6 +311,23 @@ def program_unitary(program: GateProgram, profile: CouplingProfile) -> np.ndarra
     return program_block(program, profile, 0, program.layout.total_qubits)
 
 
+def cat_state(profile: CouplingProfile, control: int, tau: float) -> tuple[GateProgram, StateVector]:
+    """The cat program from |+> on site `control`, and the state it produces on `profile`.
+
+    One composite applies X to every other site, so the control's half ends
+    on the ancilla and its home site in |0>.  A chain with no closed-form
+    mirror at `tau` is refused (:func:`corechain.chain.require_closed_form`).
+    """
+    certificate = mirror_certificate(profile, tau)
+    require_closed_form(profile, certificate)
+    layout = Layout(profile.n_sites, ancilla_count=1)
+    # theta = phi = 0 reflections are X
+    reflections = {site: (0.0, 0.0) for site in range(1, profile.n_sites + 1) if site != control}
+    program = controlled_reflection_program(control, reflections, layout, tau, certificate.phi_n)
+    plus = apply_local(StateVector.zero(layout), layout.core_position(control), HADAMARD)
+    return program, execute(program, profile, plus)
+
+
 def controlled_z_program(control: int, layout: Layout, tau: float = math.pi) -> GateProgram:
     """Mirror, swap the control's mirror site with the ancilla, mirror again.
 
@@ -521,19 +538,11 @@ def controlled_reflection_program(
 
 
 def cat_state_program(n_sites: int, tau: float = math.pi) -> tuple[GateProgram, StateVector]:
-    """Prepare (|00...0> + |11...1>)/sqrt(2) from |+> on site 1.
+    """Prepare (|00...0> + |11...1>)/sqrt(2) from |+> on site 1: :func:`cat_state` on the zero-phase chain.
 
-    Uses one controlled multi-target X built from a single composite on the
-    zero-phase linear-spectrum chain, so the control half of the cat ends on
-    the ancilla.  Returns the program and the state it produces.
+    Returns the program and the state it produces.  A `tau` at which that
+    chain has no closed-form mirror is refused.
     """
     if n_sites < 2:
         raise UnsupportedConfigurationError(f"need at least 2 sites, got {n_sites}")
-    layout = Layout(n_sites, ancilla_count=1)
-    # theta = phi = 0 reflection is X
-    program = controlled_reflection_program(
-        1, {site: (0.0, 0.0) for site in range(2, n_sites + 1)}, layout, tau
-    )
-    plus = apply_local(StateVector.zero(layout), layout.core_position(1), HADAMARD)
-    final = execute(program, zero_phase_profile(n_sites), plus)
-    return program, final
+    return cat_state(zero_phase_profile(n_sites), 1, tau)

@@ -707,6 +707,36 @@ def test_boundary_fails_with_one_error_line(case):
         assert not left
 
 
+# every command that writes a file, with one output under a directory that does not exist
+UNWRITABLE = {
+    "design": ["design", "--christandl", "4", "--out", "{missing}"],
+    "verify": ["verify", "--christandl", "4", "--out", "{missing}"],
+    "evolve": ["evolve", "--christandl", "3", "--basis", "100", "--t", "1.0", "--out", "{missing}"],
+    "gate-z": ["gate", "--christandl", "4", "--kind", "z", "--out", "{missing}"],
+    "gate-w-run": ["gate", "--christandl", "4", "--kind", "w", "--run", "--out", "{missing}"],
+    "gate-cat": ["gate", "--christandl", "4", "--kind", "cat", "--out", "{missing}"],
+    "qft-check": ["qft", "--n", "3", "--check", "--out", "{missing}"],
+    "hamsim-check": ["hamsim", "--mask", "zx", "--dt", "0.3", "--check", "--out", "{missing}"],
+    "cost-qft": ["cost", "--qft", "--n-range", "1..3", "--out", "{missing}"],
+    "cost-concat": ["cost", "--concat", "--levels", "2", "--out", "{missing}"],
+    "cost-program": ["cost", "--program", "{program}", "--out", "{missing}"],
+    "robustness-out": ["robustness", "--n", "4", "--out", "{missing}"],
+    "robustness-csv": ["robustness", "--n", "4", "--out", "{out}", "--csv", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+def test_unwritable_output_fails_before_printing_or_writing(capsys, tmp_path, argv):
+    program, out_file = tmp_path / "program.json", tmp_path / "out.json"
+    program.write_text(json.dumps(VALID["program"]))
+    missing = tmp_path / "missing" / "file"
+    code, out, err = run(capsys, *(a.format(missing=missing, out=out_file, program=program) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert not out_file.exists() and not missing.parent.exists()
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_concat_refuses_a_level_past_the_digit_limit(tmp_path, to_file):
     # at a limit of 640 digits, the lowest Python allows, 6 * 7^756 has 640 digits and 6 * 7^757 has 641

@@ -12,6 +12,7 @@ from corechain import (
     GateProgram,
     HADAMARD,
     InsufficientDataError,
+    InvalidCertificateError,
     InvalidInstructionError,
     InvalidLayoutError,
     InvalidProfileError,
@@ -633,17 +634,28 @@ class TestControlledReflection:
         assert matrices["A2"] is matrices["A4"] and matrices["A3"] is matrices["A5"]
 
 
+def cat_fidelity(program, final):
+    layout = program.layout
+    ideal = np.zeros(layout.dim, dtype=complex)
+    ideal[0] = 1 / math.sqrt(2)
+    up_bits = [0] + [1] * (layout.core_sites - 1) + [1]  # site 1 emptied, control on the ancilla
+    ideal[int("".join(map(str, up_bits)), 2)] = 1 / math.sqrt(2)
+    return fidelity_up_to_global_phase(StateVector(layout, ideal), final)
+
+
 class TestCatState:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_fidelity(self, n):
-        program, final = cat_state_program(n)
-        layout = program.layout
-        ideal = np.zeros(layout.dim, dtype=complex)
-        ideal[0] = 1 / math.sqrt(2)
-        up_bits = [0] + [1] * (n - 1) + [1]  # site 1 emptied, control on the ancilla
-        ideal[int("".join(map(str, up_bits)), 2)] = 1 / math.sqrt(2)
-        fidelity = fidelity_up_to_global_phase(StateVector(layout, ideal), final)
-        assert fidelity >= 1.0 - 1e-8
+        assert cat_fidelity(*cat_state_program(n)) >= 1.0 - 1e-8
+
+    @pytest.mark.parametrize("tau", [1.0, 2 * math.pi])
+    def test_period_with_no_mirror_is_refused(self, tau):
+        # the zero-phase chain's evolution over tau is the mirror only at odd multiples of pi
+        with pytest.raises(InvalidCertificateError, match=f"no closed-form mirror at tau={tau}"):
+            cat_state_program(4, tau=tau)
+
+    def test_three_periods_give_the_cat(self):
+        assert cat_fidelity(*cat_state_program(4, tau=3 * math.pi)) == pytest.approx(1.0, abs=1e-12)
 
     def test_control_down_does_nothing(self):
         program, _ = cat_state_program(3)
