@@ -52,23 +52,19 @@ PASS_BLOCK = 1 << 14
 
 
 def core_bits(n_sites: int) -> np.ndarray:
-    """Row s holds the bits of core index s, site 1 first.
-
-    Not cached: kept resident beside the propagator blocks, these tables
-    fragmented the heap and raised peak RSS by one or two 13 MB blocks.
-    """
+    """Row s holds the bits of core index s, site 1 first, for the mode-energy sums `core_bits(n) @ energies`."""
     return (np.arange(1 << n_sites)[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
 
 
 def core_weights(n_sites: int) -> np.ndarray:
-    return core_bits(n_sites).sum(axis=1)
+    """The weight of each core index, its count of set bits, as uint8."""
+    return np.bitwise_count(np.arange(1 << n_sites))
 
 
 def mirror_phases(n_sites: int, phi_n: float) -> np.ndarray:
-    """exp(-i n phi_n) (-1)^((n-m)/2), m = n mod 2, for each core index of weight n."""
-    weights = core_weights(n_sites)
-    n = weights.astype(float)
-    return np.exp(-1j * n * phi_n) * ((-1.0) ** ((weights - (weights & 1)) // 2))
+    """exp(-i n phi_n) (-1)^((n-m)/2), m = n mod 2, for each core index of weight n, made once per weight."""
+    w = np.arange(n_sites + 1)
+    return (np.exp(-1j * w * phi_n) * (-1.0) ** (w >> 1))[core_weights(n_sites)]
 
 
 def rotate(arr: np.ndarray, n_core: int, rotations, back: bool = False) -> None:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .chain import CERTIFICATE_TOL, CouplingProfile, mirror_certificate, require_closed_form, require_valid_profile
+from .chain import CERTIFICATE_TOL, CouplingProfile, mirror_certificate, require_closed_form, require_period
+from .chain import require_valid_profile
 # unused here, `evolve` stays bound: benchmarks/tracing.py wraps analysis.evolve
 from .dynamics import StateVector, evolution_overlaps, evolve, mirror_map  # noqa: F401
 from .errors import InsufficientDataError, InvalidCertificateError, InvalidLayoutError, NonFiniteTimeError
@@ -46,8 +47,7 @@ class CostReport:
 
 def cost_of_program(program: GateProgram, tau: float) -> CostReport:
     """Exact instruction census; core time is tau per free evolution, and must be finite."""
-    if not 0 < tau < math.inf:  # also refuses NaN
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    require_period(tau)
     free = program.free_evolution_count
     if not math.isfinite(tau * free):
         raise NonFiniteTimeError(f"core time tau * free evolutions must be finite, got {tau} * {free}")

@@ -27,6 +27,7 @@ from .errors import (
     NonFiniteTimeError,
     ReconstructionInfeasibleError,
     SizeLimitError,
+    UnsupportedConfigurationError,
 )
 
 MIRROR_TOL = 1e-12
@@ -217,6 +218,13 @@ def require_valid_profile(profile: CouplingProfile) -> None:
         raise InvalidProfileError(f"invalid coupling profile: {diag.describe()}")
 
 
+def require_period(tau: float) -> None:
+    """Refuse a NaN or infinite tau (NonFiniteTimeError) and tau <= 0 (UnsupportedConfigurationError)."""
+    if not 0 < tau < math.inf:  # also refuses NaN
+        error = UnsupportedConfigurationError if math.isfinite(tau) else NonFiniteTimeError
+        raise error(f"tau must be positive and finite, got {tau}")
+
+
 def require_closed_form(profile: CouplingProfile, certificate: MirrorCertificate) -> None:
     """Reject a chain whose evolution over `certificate.tau` is not the closed-form mirror map.
 
@@ -251,8 +259,7 @@ def mirror_certificate(profile: CouplingProfile, tau: float) -> MirrorCertificat
     incommensurate spectrum never raises; it simply reports a large
     deviation.
     """
-    if not 0 < tau < math.inf:  # also refuses NaN
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    require_period(tau)
     energies = single_excitation_matrix(profile).eigenvalues()[::-1]  # descending
     if not math.isfinite(float(np.max(np.abs(energies))) * tau):
         raise NonFiniteTimeError(f"tau={tau} overflows the mode phases E_k tau")

@@ -25,7 +25,7 @@ class IllConditionedError(ValueError):
 
 
 class UnsupportedConfigurationError(ValueError):
-    """A program request falls outside the builder's supported shape."""
+    """A program request outside its builder's supported shape, or a step dt or period tau that is not positive."""
 
 
 class InvalidCertificateError(ValueError):
@@ -45,11 +45,11 @@ class NonUnitaryError(ValueError):
 
 
 class NonFiniteTimeError(ValueError):
-    """An evolution time or a phase is NaN or infinite, or overflows the phases of the chain's modes."""
+    """An evolution time, a period or a phase is NaN or infinite, or overflows the phases of the chain's modes."""
 
 
 class InvalidInstructionError(ValueError):
-    """A site or qubit outside its layout, a target on the control site, or a site swapped with itself."""
+    """A site or qubit outside its layout, a target on the control site, a site swapped with itself, or an unknown op."""
 
 
 class InvalidLayoutError(ValueError):

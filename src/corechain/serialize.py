@@ -16,6 +16,7 @@ import numpy as np
 
 from .chain import CouplingProfile, MirrorCertificate, Spectrum
 from .dynamics import Layout, StateVector
+from .errors import InvalidInstructionError
 from .gates import FreeEvolve, GateProgram, Instruction, Local, Swap
 
 
@@ -228,7 +229,7 @@ def instruction_from_dict(data: dict) -> Instruction:
     if op == "local":
         matrix = _complex_from_pairs(data["matrix"])
         return Local(_integer(data["qubit"], "qubit"), matrix, data.get("label", ""))
-    raise ValueError(f"unknown instruction op {op!r}")
+    raise InvalidInstructionError(f"unknown instruction op {op!r}")
 
 
 def program_to_dict(program: GateProgram) -> dict:

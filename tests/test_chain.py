@@ -9,12 +9,18 @@ from numpy.testing import assert_allclose
 
 from corechain import (
     CouplingProfile,
+    FreeEvolve,
+    GateProgram,
     IllConditionedError,
     InvalidProfileError,
+    Layout,
+    NonFiniteTimeError,
     ReconstructionInfeasibleError,
     SizeLimitError,
     Spectrum,
+    UnsupportedConfigurationError,
     christandl_profile,
+    cost_of_program,
     mirror_certificate,
     reconstruct_profile,
     single_excitation_matrix,
@@ -77,6 +83,14 @@ def test_persymmetry(n):
     assert np.max(np.abs(m - exchange @ m @ exchange)) <= 1e-12
 
 
+def _certify(tau):
+    return mirror_certificate(christandl_profile(4), tau)
+
+
+def _cost(tau):
+    return cost_of_program(GateProgram((FreeEvolve(math.pi),), Layout(2)), tau)
+
+
 class TestMirrorCertificate:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_christandl_sound(self, n):
@@ -114,14 +128,19 @@ class TestMirrorCertificate:
             single = u[1 << (n - 1), 1]  # <10...0| U |0...01>
             assert abs(single - np.exp(-1j * cert.phi_n)) < 1e-9
 
+    # one period rule, `chain.require_period`, for certificates and program costs alike
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            mirror_certificate(christandl_profile(3), 0.0)
+        for tau in (0.0, -0.0, -1.0):
+            message = f"^tau must be positive and finite, got {tau}$"
+            for refused in (_certify, _cost):
+                with pytest.raises(UnsupportedConfigurationError, match=message):
+                    refused(tau)
 
     @pytest.mark.parametrize("tau", [math.inf, -math.inf, math.nan])
     def test_rejects_nonfinite_tau(self, tau):
-        with pytest.raises(ValueError, match=f"tau must be positive and finite, got {tau}"):
-            mirror_certificate(christandl_profile(4), tau)
+        for refused in (_certify, _cost):
+            with pytest.raises(NonFiniteTimeError, match=f"^tau must be positive and finite, got {tau}$"):
+                refused(tau)
 
 
 class TestValidateProfile:

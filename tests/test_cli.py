@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from corechain import (
     zero_phase_profile,
 )
 from corechain.chain import MAX_CHAIN_SITES
+from corechain.errors import InvalidInstructionError
 from corechain import cli, gates
 from corechain.cli import main
 
@@ -684,6 +686,29 @@ def _transcript(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _handler_raises(argv):
+    """`_transcript(argv)`, and the exceptions that left the command's handler for `main` to report."""
+    parser, raised = cli._build_parser(), []
+    parse = parser.parse_args
+
+    def parse_args(args):
+        parsed = parse(args)
+        handler = parsed.handler
+
+        def recorded(namespace):
+            try:
+                return handler(namespace)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        parsed.handler = recorded
+        return parsed
+
+    with mock.patch.object(parser, "parse_args", parse_args):  # `main` reads the one cached parser
+        return _transcript(argv), raised
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=st.one_of(malformed_file(), probe_argv().map(lambda argv: (argv, None))))
 def test_boundary_fails_with_one_error_line(case):
@@ -697,7 +722,7 @@ def test_boundary_fails_with_one_error_line(case):
             path = Path(tmp) / "input.json"
             path.write_bytes(content)
             argv = [*argv, str(path)]
-        code, out, err = _transcript(argv)
+        (code, out, err), raised = _handler_raises(argv)
         left = written.exists()
     assert code in (0, 1, 2)
     if code:
@@ -705,6 +730,20 @@ def test_boundary_fails_with_one_error_line(case):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert not left
+    if content is None:  # a malformed file's JSON and record errors are still bare ValueErrors
+        assert all(type(exc).__module__ == "corechain.errors" or isinstance(exc, OSError) for exc in raised)
+
+
+def test_unknown_instruction_op_is_refused_by_name(capsys, tmp_path):
+    data = copy.deepcopy(VALID["program"])
+    data["instructions"][1] = {"op": "measure"}
+    with pytest.raises(InvalidInstructionError, match="^unknown instruction op 'measure'$"):
+        serialize.program_from_dict(data)
+    program, report = tmp_path / "program.json", tmp_path / "cost.json"
+    program.write_text(json.dumps(data))
+    code, out, err = run(capsys, "cost", "--program", str(program), "--out", str(report))
+    assert (code, out, err) == (1, "", "error: unknown instruction op 'measure'\n")
+    assert not report.exists()
 
 
 # every command that writes a file, with one output under a directory that does not exist

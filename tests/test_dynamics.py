@@ -455,7 +455,7 @@ class TestFidelity:
 class TestCoreTables:
     """The bit-table builders against the per-state loops they replaced."""
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_weights_and_site_reversal(self, n):
         weights = [bin(s).count("1") for s in range(1 << n)]
         assert _kernels.core_weights(n).tolist() == weights

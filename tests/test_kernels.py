@@ -1,5 +1,6 @@
 """The array kernels against the passes, gathers and phase tables they replace, bit for bit."""
 
+import cmath
 import math
 
 import numpy as np
@@ -75,6 +76,16 @@ class TestKernels:
             expected = _passes_in_order(arr, run).reshape([2] * m)
             expected = expected.transpose(*((a + shift) % m for a in range(m))).reshape(arr.shape)
             assert np.array_equal(_kernels.rotating_local_run(arr.copy(), run), expected)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mirror_phases_equal_the_formula_per_core_index(self, n):
+        # the table is made once per weight; each core index of weight w gets the phase of w
+        for phi in (0.0, 1e-9, 0.37, -2.5, math.pi, -math.pi):
+            expected = []
+            for s in range(1 << n):
+                w = bin(s).count("1")
+                expected.append(cmath.exp(-1j * w * phi) * (-1.0) ** ((w - w % 2) // 2))
+            assert _kernels.mirror_phases(n, phi).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("m, cols", [(2, 1), (5, 1), (9, 1), (9, 3), (9, 64), (13, 1)])
     def test_phase_over_chain_axes_equals_phase_by_core_index(self, m, cols):
